@@ -51,7 +51,7 @@ fn bench_batch_processing(c: &mut Criterion) {
             black_box(verdicts.len())
         })
     });
-    // The same batch as wire frames through the zero-copy path.
+    // The same batch as wire frames through the in-place path.
     let frame_template: Vec<Vec<u8>> = template
         .iter()
         .map(|hdr| {
@@ -65,11 +65,14 @@ fn bench_batch_processing(c: &mut Criterion) {
         .collect();
     group.bench_function("frame_batch_in_place", |b| {
         let mut frames = frame_template.clone();
-        let mut verdicts = Vec::with_capacity(BATCH);
         b.iter(|| {
-            verdicts.clear();
-            pipeline.process_frame_batch_in_place(&mut frames, &mut verdicts);
-            black_box(verdicts.len())
+            let mut reported = 0u32;
+            for frame in frames.iter_mut() {
+                if pipeline.process_frame_in_place(frame).unwrap().reported() {
+                    reported += 1;
+                }
+            }
+            black_box(reported)
         })
     });
     group.finish();

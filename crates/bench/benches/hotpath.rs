@@ -1,6 +1,6 @@
 //! The wire-frame hot-path baseline: a machine-readable benchmark
-//! comparing the three ways a packet moves through the Unroller control
-//! block, plus the sharded engine end to end on the zero-copy path.
+//! comparing the four ways a packet moves through the Unroller control
+//! block, plus the sharded engine end to end.
 //!
 //! Paths measured (single-threaded, default parameters, 64-byte
 //! frames, 16 distinct switch pipelines round-robined so the walk
@@ -12,13 +12,16 @@
 //!   the shim out of the frame bytes into a struct (allocating its
 //!   `swids` vector), process, re-encode.
 //! * `frame_in_place_path` — [`UnrollerPipeline::process_frame_in_place`]:
-//!   read and rewrite shim bits directly in the frame buffer, no
-//!   decode, no allocation.
+//!   decode the shim from the frame buffer into stack [`Registers`],
+//!   step, encode back — every hop, no allocation.
+//! * `frame_walk_path` — the engine's multi-hop walk: decode the shim
+//!   once, [`UnrollerPipeline::step`] the registers through a whole
+//!   `RESET_EVERY`-hop route, encode once.
 //!
 //! The engine section replays an identically-seeded synthetic stream
 //! through the full runtime (dispatcher → rings → workers →
-//! aggregator) per shard count; workers use the in-place path on
-//! reusable scratch frames.
+//! aggregator) per shard count; workers walk reusable scratch frames
+//! the `frame_walk_path` way.
 //!
 //! Output is JSON (written with [`unroller_engine::Json`], schema
 //! documented in `results/README.md`):
@@ -29,15 +32,16 @@
 //!
 //! `--quick` shrinks iteration counts for CI smoke runs; the committed
 //! baseline `results/BENCH_hotpath.json` is a full run. CI's
-//! `bench-smoke` job asserts the output parses and that the in-place
-//! path is not slower than the allocating frame path.
+//! `bench-smoke` job asserts the output parses, that the in-place path
+//! is not slower than the allocating frame path, and that the
+//! decode-once walk is not slower per hop than the in-place path.
 
 use std::hint::black_box;
 use std::time::Instant;
 use unroller_core::UnrollerParams;
 use unroller_dataplane::header::{HeaderLayout, WireHeader};
 use unroller_dataplane::parser::build_frame;
-use unroller_dataplane::{EthernetHeader, UnrollerPipeline};
+use unroller_dataplane::{EthernetHeader, Registers, UnrollerPipeline, ETH_HEADER_LEN};
 use unroller_engine::{Engine, EngineConfig, FullPolicy, Json, SyntheticSource};
 
 const SWITCHES: u32 = 16;
@@ -124,6 +128,27 @@ fn bench_frame_in_place_path(pipes: &[UnrollerPipeline], template: &[u8], iters:
         );
     });
     PathStats::from_total(total, iters)
+}
+
+fn bench_frame_walk_path(
+    pipes: &[UnrollerPipeline],
+    layout: &HeaderLayout,
+    template: &[u8],
+    iters: u64,
+) -> PathStats {
+    let mut frame = template.to_vec();
+    let shim = ETH_HEADER_LEN..ETH_HEADER_LEN + layout.total_bytes();
+    let walks = iters / RESET_EVERY as u64;
+    let total = time_path(walks, |w| {
+        frame.copy_from_slice(template);
+        let mut regs = Registers::decode(layout, &frame[shim.clone()]);
+        for hop in w * RESET_EVERY..(w + 1) * RESET_EVERY {
+            black_box(pipes[hop % pipes.len()].step(&mut regs));
+        }
+        regs.encode(layout, &mut frame[shim.clone()]);
+        black_box(&mut frame);
+    });
+    PathStats::from_total(total, walks * RESET_EVERY as u64)
 }
 
 fn bench_engine(shards: usize, packets: u64) -> Json {
@@ -214,10 +239,12 @@ fn main() {
     let struct_path = bench_struct_path(&pipes, &layout, iters);
     let alloc_path = bench_frame_alloc_path(&pipes, &template, iters);
     let in_place_path = bench_frame_in_place_path(&pipes, &template, iters);
+    let walk_path = bench_frame_walk_path(&pipes, &layout, &template, iters);
     for (name, s) in [
         ("struct_path", &struct_path),
         ("frame_alloc_path", &alloc_path),
         ("frame_in_place_path", &in_place_path),
+        ("frame_walk_path", &walk_path),
     ] {
         eprintln!(
             "  {name:<22} {:>8.2} ns/hop  {:>12.0} headers/s",
@@ -235,6 +262,7 @@ fn main() {
     dataplane.set("struct_path", struct_path.to_json(iters));
     dataplane.set("frame_alloc_path", alloc_path.to_json(iters));
     dataplane.set("frame_in_place_path", in_place_path.to_json(iters));
+    dataplane.set("frame_walk_path", walk_path.to_json(iters));
 
     let mut root = Json::object();
     root.set("bench", Json::Str("hotpath".to_string()));
@@ -258,4 +286,6 @@ fn main() {
 
     let speedup = alloc_path.ns_per_hop / in_place_path.ns_per_hop;
     eprintln!("hotpath: in-place is {speedup:.2}x the allocating frame path");
+    let speedup = in_place_path.ns_per_hop / walk_path.ns_per_hop;
+    eprintln!("hotpath: decode-once walk is {speedup:.2}x the per-hop in-place path");
 }

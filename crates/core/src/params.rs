@@ -12,6 +12,11 @@ use crate::phase::PhaseSchedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Most identifier slots (`c · H`) a packet may carry. Dataplane walk
+/// registers are sized by this constant, so a validated configuration
+/// always fits them.
+pub const MAX_SLOTS: usize = 64;
+
 /// Errors raised by [`UnrollerParams::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamError {
@@ -28,7 +33,7 @@ pub enum ParamError {
     NoHashes,
     /// `Th` must be at least 1 (report on the first match).
     NoThreshold,
-    /// Storing more than 64 identifiers per packet exceeds any plausible
+    /// Storing more than [`MAX_SLOTS`] identifiers per packet exceeds any plausible
     /// header budget; the paper evaluates up to `c = 8`, `H = 10`.
     TooManySlots {
         /// requested `c · H` slots
@@ -51,7 +56,10 @@ impl fmt::Display for ParamError {
             ParamError::NoHashes => write!(f, "hash count H must be >= 1"),
             ParamError::NoThreshold => write!(f, "threshold Th must be >= 1"),
             ParamError::TooManySlots { slots } => {
-                write!(f, "c*H = {slots} identifier slots exceed the limit of 64")
+                write!(
+                    f,
+                    "c*H = {slots} identifier slots exceed the limit of {MAX_SLOTS}"
+                )
             }
         }
     }
@@ -173,7 +181,7 @@ impl UnrollerParams {
             return Err(ParamError::NoThreshold);
         }
         let slots = self.c.saturating_mul(self.h);
-        if slots > 64 {
+        if slots > MAX_SLOTS as u32 {
             return Err(ParamError::TooManySlots { slots });
         }
         Ok(())

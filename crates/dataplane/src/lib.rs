@@ -11,8 +11,9 @@
 //! * [`header`] — the Table 3 shim layout ([`header::WireHeader`]).
 //! * [`parser`] — Ethernet framing: parse / deparse of the shim.
 //! * [`pipeline`] — the ingress control block
-//!   ([`pipeline::UnrollerPipeline`]), bit-exact against the software
-//!   detector.
+//!   ([`pipeline::UnrollerPipeline`]): one per-hop rule
+//!   ([`pipeline::UnrollerPipeline::step`]) on decoded shim registers
+//!   ([`pipeline::Registers`]), bit-exact against the software detector.
 //! * [`resources`] — the Table 4 substitute resource accounting.
 //!
 //! ```
@@ -47,5 +48,5 @@ pub mod resources;
 pub use header::{HeaderLayout, WireHeader};
 pub use parser::{EthernetHeader, FrameError, ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
 pub use pcap::{PcapError, PcapItem, PcapReader, PcapRecord, PcapStream, PcapWriter};
-pub use pipeline::{process_frame_batch_stepped, UnrollerPipeline, STEP_LANES};
+pub use pipeline::{process_frame_batch_stepped, Registers, UnrollerPipeline, STEP_LANES};
 pub use resources::ResourceReport;

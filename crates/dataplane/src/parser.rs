@@ -124,23 +124,33 @@ pub fn build_frame(
     frame
 }
 
-/// Parses a frame into Ethernet header, shim, and payload slice.
-pub fn parse_frame<'a>(
-    layout: &HeaderLayout,
-    frame: &'a [u8],
-) -> Result<(EthernetHeader, WireHeader, &'a [u8]), FrameError> {
-    let shim_len = layout.total_bytes();
-    let need = ETH_HEADER_LEN + shim_len;
+/// The parser's checks alone: `frame` must hold an Ethernet header and
+/// a whole shim under [`ETHERTYPE_UNROLLER`]. In-place processing runs
+/// this once, then reads and writes the shim at
+/// `frame[ETH_HEADER_LEN..]`.
+pub fn check_frame(layout: &HeaderLayout, frame: &[u8]) -> Result<(), FrameError> {
+    let need = ETH_HEADER_LEN + layout.total_bytes();
     if frame.len() < need {
         return Err(FrameError::TooShort {
             len: frame.len(),
             need,
         });
     }
-    let eth = EthernetHeader::decode(frame).expect("length checked");
-    if eth.ethertype != ETHERTYPE_UNROLLER {
-        return Err(FrameError::WrongEthertype(eth.ethertype));
+    let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
+    if ethertype != ETHERTYPE_UNROLLER {
+        return Err(FrameError::WrongEthertype(ethertype));
     }
+    Ok(())
+}
+
+/// Parses a frame into Ethernet header, shim, and payload slice.
+pub fn parse_frame<'a>(
+    layout: &HeaderLayout,
+    frame: &'a [u8],
+) -> Result<(EthernetHeader, WireHeader, &'a [u8]), FrameError> {
+    check_frame(layout, frame)?;
+    let need = ETH_HEADER_LEN + layout.total_bytes();
+    let eth = EthernetHeader::decode(frame).expect("length checked");
     let shim =
         WireHeader::decode(layout, &frame[ETH_HEADER_LEN..need]).map_err(FrameError::Shim)?;
     Ok((eth, shim, &frame[need..]))

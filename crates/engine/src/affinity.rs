@@ -1,7 +1,7 @@
 //! Shard-to-core pinning via `sched_setaffinity`.
 //!
 //! Pinning stops the scheduler migrating a worker between cores
-//! mid-run, which would drag its cache-warm pipeline clones and ring
+//! mid-run, which would drag its cache-warm pipeline state and ring
 //! lines along with it. It is opt-in
 //! ([`EngineConfig::pin_cores`](crate::engine::EngineConfig::pin_cores)):
 //! on a busy or oversubscribed machine pinning can *hurt* by stacking

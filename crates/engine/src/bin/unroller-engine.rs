@@ -15,6 +15,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use unroller_control::{Controller, FlakyHealer, HealPolicy, HealReport, SimHealer};
+use unroller_core::UnrollerParams;
 use unroller_dataplane::{HeaderLayout, PcapWriter};
 use unroller_engine::{
     aggregate::deliver, run_scaling, CaptureSource, ChurnPlan, ChurnSource, ControllerSink, Engine,
@@ -37,6 +38,7 @@ struct Options {
     flows: usize,
     loop_at: Option<u64>, // None = --no-loop
     ttl: u32,
+    params: UnrollerParams,
     policy: FullPolicy,
     seed: u64,
     out: Option<String>,
@@ -71,6 +73,7 @@ impl Default for Options {
             flows: 64,
             loop_at: Some(0), // placeholder; resolved after parsing
             ttl: 64,
+            params: UnrollerParams::default(),
             policy: FullPolicy::Drop,
             seed: 1,
             out: None,
@@ -116,6 +119,10 @@ fn usage() -> ! {
                              (default packets/4)\n\
            --no-loop         do not inject a loop\n\
            --ttl N           per-packet hop budget (default 64)\n\
+           --params SPEC     detector parameters, comma-separated k=v:\n\
+                             b=N z=N c=N h=N th=N schedule=power|cumulative\n\
+                             (default b=4,z=32,c=1,h=1,th=1); the shim\n\
+                             must carry Xcnt, so xcnt=ttl is refused\n\
            --policy P        drop | block on full rings (default drop)\n\
            --seed N          traffic seed (default 1)\n\
            --out PATH        write the JSON report here (scaling mode\n\
@@ -239,6 +246,13 @@ fn parse_args() -> Options {
             "--loop-at" => explicit_loop_at = Some(num("--loop-at", value("--loop-at"))),
             "--no-loop" => no_loop = true,
             "--ttl" => opts.ttl = num("--ttl", value("--ttl")),
+            "--params" => {
+                let spec = value("--params");
+                opts.params = spec.parse().unwrap_or_else(|e| {
+                    eprintln!("unroller-engine: bad --params spec: {e}");
+                    std::process::exit(2);
+                });
+            }
             "--policy" => {
                 opts.policy = match value("--policy").as_str() {
                     "drop" => FullPolicy::Drop,
@@ -538,6 +552,7 @@ fn main() {
         batch_size: opts.batch,
         ring_capacity: opts.ring,
         max_hops: opts.ttl,
+        params: opts.params,
         full_policy: opts.policy,
         snapshot_every: opts.snapshot_ms.map(Duration::from_millis),
         faults: opts.faults.clone(),

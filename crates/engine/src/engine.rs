@@ -60,7 +60,9 @@ pub struct EngineConfig {
     pub ring_capacity: usize,
     /// Hop budget per packet (the TTL).
     pub max_hops: u32,
-    /// Detector parameters provisioned into every pipeline.
+    /// Detector parameters provisioned into every pipeline. The shim
+    /// must carry `Xcnt`: engine frames have no TTL to infer it from
+    /// ([`EngineError::TtlInferredXcnt`]).
     pub params: UnrollerParams,
     /// Backpressure policy on full rings.
     pub full_policy: FullPolicy,
@@ -150,6 +152,11 @@ pub enum EngineError {
     NoSwitches,
     /// The detector parameters failed validation.
     BadParams(ParamError),
+    /// The parameters infer `Xcnt` from the TTL (`xcnt_in_header =
+    /// false`), but engine frames carry no TTL: every hop would re-read
+    /// `Xcnt = 0`, no slot would ever count as occupied, and no loop
+    /// could be reported.
+    TtlInferredXcnt,
     /// The event log file could not be created (checked before any
     /// thread spawns; carries the I/O error's message).
     EventLogIo(String),
@@ -179,6 +186,11 @@ impl fmt::Display for EngineError {
             EngineError::ZeroTtl => write!(f, "max hops must be >= 1"),
             EngineError::NoSwitches => write!(f, "at least one switch ID required"),
             EngineError::BadParams(e) => write!(f, "invalid detector parameters: {e}"),
+            EngineError::TtlInferredXcnt => write!(
+                f,
+                "detector parameters infer Xcnt from the TTL (xcnt=ttl), \
+                 but engine frames carry no TTL: the shim must carry Xcnt"
+            ),
             EngineError::EventLogIo(e) => write!(f, "cannot open event log: {e}"),
             EngineError::AggregatorPanicked(msg) => {
                 write!(f, "loop-event aggregator panicked: {msg}")
@@ -438,6 +450,9 @@ impl Engine {
         }
         if ids.is_empty() {
             return Err(EngineError::NoSwitches);
+        }
+        if !cfg.params.xcnt_in_header {
+            return Err(EngineError::TtlInferredXcnt);
         }
         let pipelines = ids
             .iter()
@@ -765,6 +780,22 @@ mod tests {
             Engine::new(EngineConfig::default(), &[]).unwrap_err(),
             EngineError::NoSwitches
         );
+    }
+
+    #[test]
+    fn ttl_inferred_xcnt_is_rejected() {
+        // Without a TTL on engine frames, a shim without Xcnt restarts
+        // at hop 0 on every switch and can never report a loop.
+        let cfg = EngineConfig {
+            params: UnrollerParams {
+                xcnt_in_header: false,
+                ..UnrollerParams::default()
+            },
+            ..EngineConfig::default()
+        };
+        let err = Engine::new(cfg, &ids(4)).unwrap_err();
+        assert_eq!(err, EngineError::TtlInferredXcnt);
+        assert!(err.to_string().contains("xcnt=ttl"), "{err}");
     }
 
     #[test]

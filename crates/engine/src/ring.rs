@@ -546,10 +546,21 @@ mod tests {
         let (p, c, counters) = ring(1, FullPolicy::Block);
         assert!(p.push(10));
         let waiter = std::thread::spawn(move || {
-            // Fills the ring, then must block until the consumer drains.
+            // The ring is already full: this push must block until the
+            // consumer drains.
             assert!(p.push(20));
             assert!(p.push(30));
         });
+        // Drain only once the producer has found the ring full, so the
+        // stall is certain rather than a race the consumer might win.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while counters.snapshot().stalls == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "producer never stalled"
+            );
+            std::thread::yield_now();
+        }
         let mut out = Vec::new();
         while out.len() < 3 {
             assert!(c.recv_batch(&mut out, 4));

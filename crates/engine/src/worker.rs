@@ -1,19 +1,21 @@
-//! The shard worker: one thread, one ring, one private copy of every
-//! switch pipeline — run under in-thread supervision.
+//! The shard worker: one thread, one ring, a shared read-only view of
+//! every switch pipeline — run under in-thread supervision.
 //!
-//! A worker owns a full clone of the per-switch
-//! [`UnrollerPipeline`]s, indexed by node — register files are
-//! read-only per packet and small, so cloning them per shard buys
-//! completely lock-free packet processing: the hot loop touches only
-//! shard-owned state and its (atomic, uncontended) metrics block.
-//! Flow affinity is what makes this sound: a flow's packets all arrive
-//! on this one shard, so nothing about a packet's journey is ever
-//! visible to another thread.
+//! A worker reads the per-switch [`UnrollerPipeline`]s, indexed by
+//! node, through the engine's shared `Arc`: register files are
+//! read-only per packet, and a packet's walk state lives in stack
+//! registers, so shards process lock-free without private copies — the
+//! hot loop writes only its own stack, its scratch frame, and its
+//! (atomic, uncontended) metrics block. Flow affinity is what makes
+//! this sound: a flow's packets all arrive on this one shard, so
+//! nothing about a packet's journey is ever visible to another thread.
 //!
-//! **Wire-frame hot path.** Every hop runs
-//! [`UnrollerPipeline::process_frame_in_place`] on a raw byte frame:
-//! shim bits are read and rewritten directly in the buffer, with no
-//! header decode and no allocation. Generated packets share one
+//! **Wire-frame hot path.** A packet walks all of its hops inside this
+//! worker, so the walk does what a P4 parser/deparser pair does around
+//! its stages: validate the frame and decode the shim once into stack
+//! [`Registers`], run [`UnrollerPipeline::step`] on them at every hop,
+//! and encode the registers back into the frame once at the end — no
+//! per-hop bit parsing and no allocation. Generated packets share one
 //! shard-owned scratch frame (only its shim bytes are re-zeroed per
 //! packet); packets replayed from a capture carry their own recorded
 //! bytes and are processed in them, shim state and all.
@@ -59,8 +61,9 @@
 //! panic (injected by a [`FaultPlan`](crate::faults::FaultPlan) or a
 //! real bug) loses exactly the packet being processed — counted in
 //! `panic_lost`, never silent — and the supervisor restarts the shard
-//! in place: fresh pipeline clones from the pristine template, a clean
-//! scratch header, and the batch resumed at the next packet. Flows
+//! in place: a clean scratch frame (the pipelines are read-only and the
+//! lost packet's registers died with its stack frame, so nothing else
+//! can be half-written) and the batch resumed at the next packet. Flows
 //! stay pinned to the shard because the ring, and therefore the flow →
 //! shard mapping, never changes. A per-shard restart budget bounds
 //! pathological inputs: once exhausted the shard drains its ring into
@@ -85,10 +88,11 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unroller_core::{SwitchId, Verdict};
-use unroller_dataplane::parser::build_frame;
+use unroller_dataplane::parser::{build_frame, check_frame};
 use unroller_dataplane::pipeline::{process_frame_batch_stepped, STEP_LANES};
 use unroller_dataplane::{
-    EthernetHeader, FrameError, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
+    EthernetHeader, FrameError, HeaderLayout, Registers, UnrollerPipeline, WireHeader,
+    ETH_HEADER_LEN,
 };
 
 /// Cap on §3.5 membership collection: a real switch would bound the
@@ -114,10 +118,8 @@ const STEP_MIN: usize = 8;
 pub struct ShardWorker {
     /// Shard index (for event attribution).
     pub shard: usize,
-    /// Pristine per-node pipeline template, indexed by `NodeId`
-    /// (`pipelines[node]`); shared read-only across shards. Each worker
-    /// clones a private working set from it — and re-clones on restart,
-    /// discarding whatever a panic left half-written.
+    /// Per-node pipelines, indexed by `NodeId` (`pipelines[node]`);
+    /// shared read-only across shards.
     pub pipelines: Arc<Vec<UnrollerPipeline>>,
     /// Switch IDs, indexed the same way.
     pub ids: Arc<[SwitchId]>,
@@ -229,7 +231,6 @@ impl ShardWorker {
             install_quiet_panic_hook();
         }
         let cpu_start = thread_cpu_ns();
-        let mut working: Vec<UnrollerPipeline> = (*self.pipelines).clone();
         // Route validity, settled once *per generation*: err_hops[route]
         // is the first hop that would leave the pipeline array
         // (ROUTE_VALID when none does). The hot walk compares against
@@ -241,10 +242,10 @@ impl ShardWorker {
         let mut err_hops: Vec<u32> = Vec::new();
         self.routes
             .routes()
-            .first_invalid_hops_into(working.len(), &mut err_hops);
+            .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
         // One scratch wire frame reused across every frameless packet:
-        // the zero-copy pipeline rewrites shim bits in this buffer
-        // directly, so walking a path allocates nothing.
+        // a walk decodes its shim from this buffer and encodes the
+        // result back into it, so walking a path allocates nothing.
         let mut scratch = self.scratch_frame();
         // The memo table shares err_hops' invalidation discipline: both
         // are generation-keyed caches rebuilt at the same batch
@@ -283,7 +284,7 @@ impl ShardWorker {
             if self.routes.refresh().is_some() {
                 self.routes
                     .routes()
-                    .first_invalid_hops_into(working.len(), &mut err_hops);
+                    .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
                 if let Some(table) = memo.as_mut() {
                     // Same keying as err_hops: entries from the old
                     // generation must never answer for a reused slot.
@@ -327,7 +328,6 @@ impl ShardWorker {
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
                         self.process(
-                            &working,
                             &err_hops,
                             &mut batch[i],
                             &mut scratch,
@@ -338,7 +338,6 @@ impl ShardWorker {
                         );
                     }
                     self.drain_pending(
-                        &working,
                         &err_hops,
                         &batch,
                         &mut scratch,
@@ -375,12 +374,11 @@ impl ShardWorker {
                 }
                 restarts += 1;
                 self.metrics.restarts.fetch_add(1, Ordering::Relaxed);
-                // Restart: re-pin this shard's flows to fresh pipeline
-                // clones and a clean scratch frame, discarding any
-                // state the panic left half-written. The memo table is
-                // re-warmed from scratch — cheaper than proving a
-                // half-recorded entry impossible.
-                working = (*self.pipelines).clone();
+                // Restart: a clean scratch frame discards any shim bytes
+                // the panic left half-written; pipelines are read-only
+                // and walk registers lived on the unwound stack. The
+                // memo table is re-warmed from scratch — cheaper than
+                // proving a half-recorded entry impossible.
                 scratch = self.scratch_frame();
                 if let Some(table) = memo.as_mut() {
                     table.invalidate(self.routes.routes().len());
@@ -441,7 +439,6 @@ impl ShardWorker {
     #[allow(clippy::too_many_arguments)]
     fn process(
         &self,
-        pipelines: &[UnrollerPipeline],
         err_hops: &[u32],
         packet: &mut EnginePacket,
         scratch: &mut [u8],
@@ -470,7 +467,7 @@ impl ShardWorker {
                     return;
                 }
             }
-            self.process_generated(pipelines, err_hops, packet, scratch, memo);
+            self.process_generated(err_hops, packet, scratch, memo);
             return;
         }
         let frame: &mut [u8] = match packet.frame.as_mut() {
@@ -493,7 +490,7 @@ impl ShardWorker {
         // In bounds: `err_hops` is rebuilt from the same generation the
         // checked lookup just succeeded against.
         let err_hop = err_hops[packet.route.index()];
-        let end = self.walk_frame(pipelines, route, err_hop, frame, flip);
+        let end = self.walk_frame(route, err_hop, frame, flip);
         self.settle(packet.flow, packet.seq, route, end);
     }
 
@@ -502,7 +499,6 @@ impl ShardWorker {
     /// walk-and-record on a miss, plain walk with no table.
     fn process_generated(
         &self,
-        pipelines: &[UnrollerPipeline],
         err_hops: &[u32],
         packet: &EnginePacket,
         scratch: &mut [u8],
@@ -527,7 +523,7 @@ impl ShardWorker {
                     self.metrics
                         .memo_sampled_walks
                         .fetch_add(1, Ordering::Relaxed);
-                    let end = self.walk_generated(pipelines, route, err_hop, scratch);
+                    let end = self.walk_generated(route, err_hop, scratch);
                     if end != cached || !table.shim_matches(idx, &scratch[ETH_HEADER_LEN..shim_end])
                     {
                         self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
@@ -539,12 +535,12 @@ impl ShardWorker {
                 return;
             }
             self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
-            let end = self.walk_generated(pipelines, route, err_hop, scratch);
+            let end = self.walk_generated(route, err_hop, scratch);
             table.record(idx, end, &scratch[ETH_HEADER_LEN..shim_end]);
             self.settle(packet.flow, packet.seq, route, end);
             return;
         }
-        let end = self.walk_generated(pipelines, route, err_hop, scratch);
+        let end = self.walk_generated(route, err_hop, scratch);
         self.settle(packet.flow, packet.seq, route, end);
     }
 
@@ -552,40 +548,51 @@ impl ShardWorker {
     /// (all zeros) and walks it.
     fn walk_generated(
         &self,
-        pipelines: &[UnrollerPipeline],
         route: &CompiledRoute,
         err_hop: u32,
         scratch: &mut [u8],
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         scratch[ETH_HEADER_LEN..shim_end].fill(0);
-        self.walk_frame(pipelines, route, err_hop, scratch, None)
+        self.walk_frame(route, err_hop, scratch, None)
     }
 
     /// Walks one wire frame along its interned route through the
-    /// per-switch pipelines — shim bits rewritten in place at every hop
-    /// via the zero-copy frame path — and returns the terminal outcome
-    /// without touching any outcome counter ([`Self::settle`] does
-    /// that), so walked, memoized, and lane-stepped packets all settle
-    /// through identical accounting.
+    /// per-switch pipelines and returns the terminal outcome without
+    /// touching any outcome counter ([`Self::settle`] does that), so
+    /// walked, memoized, and lane-stepped packets all settle through
+    /// identical accounting.
+    ///
+    /// The frame is validated and its shim decoded once, at the first
+    /// pipeline step; every hop then runs [`UnrollerPipeline::step`] on
+    /// stack registers, and the registers are encoded back once at the
+    /// end. The frame comes out byte-identical to chaining
+    /// [`UnrollerPipeline::process_frame_in_place`] hop by hop: it is
+    /// only rewritten if some hop continued since the last decode (a
+    /// reporting hop leaves the registers as they entered it). A
+    /// bit-flip fault at hop `k` encodes, flips the wire bits, and
+    /// decodes again at that hop only.
     fn walk_frame(
         &self,
-        pipelines: &[UnrollerPipeline],
         route: &CompiledRoute,
         err_hop: u32,
         frame: &mut [u8],
         mut flip: Option<(u32, u32)>,
     ) -> MemoVerdict {
+        let layout = &self.layout;
+        let mut regs = Registers::default();
+        // True while the registers hold steps the frame does not.
+        let mut dirty = false;
         let mut hop = 0u32;
         // Cycle cursor: walks `pre` by hop index, then wraps through
         // `cycle` without a per-hop modulo.
         let mut cycle_idx = 0usize;
-        loop {
+        let end = loop {
             let node = if (hop as usize) < route.pre.len() {
                 route.pre[hop as usize]
             } else if route.cycle.is_empty() {
                 // Route ended: delivered.
-                return MemoVerdict::Delivered { hops: hop };
+                break MemoVerdict::Delivered { hops: hop };
             } else {
                 let n = route.cycle[cycle_idx];
                 cycle_idx += 1;
@@ -598,14 +605,27 @@ impl ShardWorker {
                 // Pre-computed per generation: this hop leaves the
                 // pipeline array. Everything before it was processed
                 // normally.
-                return MemoVerdict::RouteError { hops: hop };
+                break MemoVerdict::RouteError { hops: hop };
             }
-            // In bounds by the err_hop pre-check (hop < err_hop here).
-            let pipeline = &pipelines[node];
+            if hop == 0 {
+                // The parser: no hop changes the frame's length or
+                // EtherType, so one check covers the whole walk.
+                if check_frame(layout, frame).is_err() {
+                    return MemoVerdict::FrameError { hops: 0 };
+                }
+                regs = Registers::decode(layout, &frame[ETH_HEADER_LEN..]);
+            }
             if let Some((at_hop, bit)) = flip {
                 if hop == at_hop {
-                    // On-the-wire corruption between two switches.
-                    apply_bitflip_frame(frame, &self.layout, bit);
+                    // On-the-wire corruption between two switches: the
+                    // previous switch's deparser, the flip, this
+                    // switch's parser.
+                    if dirty {
+                        regs.encode(layout, &mut frame[ETH_HEADER_LEN..]);
+                        dirty = false;
+                    }
+                    apply_bitflip_frame(frame, layout, bit);
+                    regs = Registers::decode(layout, &frame[ETH_HEADER_LEN..]);
                     self.metrics
                         .bitflips_injected
                         .fetch_add(1, Ordering::Relaxed);
@@ -613,24 +633,23 @@ impl ShardWorker {
                 }
             }
             hop += 1;
-            match pipeline.process_frame_in_place(frame) {
-                Ok(verdict) if verdict.reported() => {
-                    return MemoVerdict::Loop {
-                        trigger: node as u32,
-                        hop,
-                    };
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    // A malformed frame fails identically at every
-                    // switch: count it once and terminate the walk.
-                    return MemoVerdict::FrameError { hops: hop - 1 };
-                }
+            // In bounds by the err_hop pre-check (hop - 1 < err_hop).
+            if self.pipelines[node].step(&mut regs).reported() {
+                break MemoVerdict::Loop {
+                    trigger: node as u32,
+                    hop,
+                };
             }
+            dirty = true;
             if hop >= self.max_hops {
-                return MemoVerdict::TtlDropped { hops: hop };
+                break MemoVerdict::TtlDropped { hops: hop };
             }
+        };
+        if dirty {
+            // The deparser.
+            regs.encode(layout, &mut frame[ETH_HEADER_LEN..]);
         }
+        end
     }
 
     /// Applies a walk outcome to the shard's books: hop and outcome
@@ -670,7 +689,6 @@ impl ShardWorker {
     #[allow(clippy::too_many_arguments)]
     fn drain_pending(
         &self,
-        pipelines: &[UnrollerPipeline],
         err_hops: &[u32],
         batch: &[EnginePacket],
         scratch: &mut [u8],
@@ -684,21 +702,13 @@ impl ShardWorker {
         }
         if let Some(pool) = lanes {
             if pending.len() >= STEP_MIN {
-                self.drain_lanes(
-                    pipelines,
-                    err_hops,
-                    batch,
-                    memo,
-                    pending,
-                    pool,
-                    drain_popped,
-                );
+                self.drain_lanes(err_hops, batch, memo, pending, pool, drain_popped);
                 return;
             }
         }
         while let Some(i) = pending.pop() {
             drain_popped.set(true);
-            self.process_generated(pipelines, err_hops, &batch[i], scratch, memo);
+            self.process_generated(err_hops, &batch[i], scratch, memo);
             drain_popped.set(false);
         }
     }
@@ -716,7 +726,6 @@ impl ShardWorker {
     #[allow(clippy::too_many_arguments)]
     fn drain_lanes(
         &self,
-        pipelines: &[UnrollerPipeline],
         err_hops: &[u32],
         batch: &[EnginePacket],
         memo: &mut Option<MemoTable>,
@@ -750,7 +759,7 @@ impl ShardWorker {
                             let slot = lanes.states.len();
                             let frame = &mut lanes.frames[slot];
                             frame[ETH_HEADER_LEN..shim_end].fill(0);
-                            let end = self.walk_frame(pipelines, route, err_hops[idx], frame, None);
+                            let end = self.walk_frame(route, err_hops[idx], frame, None);
                             if end != cached
                                 || !table.shim_matches(idx, &frame[ETH_HEADER_LEN..shim_end])
                             {
@@ -816,7 +825,7 @@ impl ShardWorker {
             // Phase B: one pipeline step for every lane, in lockstep.
             lanes.verdicts.clear();
             process_frame_batch_stepped(
-                pipelines,
+                &self.pipelines,
                 &mut lanes.frames[..active],
                 &lanes.nodes[..active],
                 &mut lanes.verdicts,
@@ -998,15 +1007,17 @@ mod tests {
 
     const RECV_WAIT: Duration = Duration::from_secs(10);
 
-    fn worker_fixture(
-        nodes: usize,
-        max_hops: u32,
-    ) -> (
+    type Fixture = (
         ShardWorker,
         crate::ring::RingProducer<EnginePacket>,
         std::sync::mpsc::Receiver<LoopEvent>,
-    ) {
-        let params = UnrollerParams::default();
+    );
+
+    fn worker_fixture(nodes: usize, max_hops: u32) -> Fixture {
+        worker_fixture_with(UnrollerParams::default(), nodes, max_hops)
+    }
+
+    fn worker_fixture_with(params: UnrollerParams, nodes: usize, max_hops: u32) -> Fixture {
         let ids: Arc<[SwitchId]> = (0..nodes as u32).map(|i| 100 + i).collect();
         let pipelines = Arc::new(
             ids.iter()
@@ -1648,5 +1659,121 @@ mod tests {
             memoized.memo_sampled_walks, 56,
             "paranoid mode re-walks every hit"
         );
+    }
+
+    /// The reference walk: one `process_frame_in_place` per hop, the
+    /// frame re-parsed and re-deparsed at every switch, a bit-flip
+    /// applied to the wire bytes before the flipped hop.
+    fn per_hop_walk(
+        worker: &ShardWorker,
+        route: &CompiledRoute,
+        frame: &mut [u8],
+        flip: Option<(u32, u32)>,
+    ) -> MemoVerdict {
+        let mut hop = 0u32;
+        loop {
+            let Some(node) = route.hop(hop as usize) else {
+                return MemoVerdict::Delivered { hops: hop };
+            };
+            let Some(pipeline) = worker.pipelines.get(node) else {
+                return MemoVerdict::RouteError { hops: hop };
+            };
+            if let Some((_, bit)) = flip.filter(|&(at_hop, _)| at_hop == hop) {
+                apply_bitflip_frame(frame, &worker.layout, bit);
+            }
+            hop += 1;
+            match pipeline.process_frame_in_place(frame) {
+                Ok(verdict) if verdict.reported() => {
+                    return MemoVerdict::Loop {
+                        trigger: node as u32,
+                        hop,
+                    }
+                }
+                Ok(_) => {}
+                Err(_) => return MemoVerdict::FrameError { hops: hop - 1 },
+            }
+            if hop >= worker.max_hops {
+                return MemoVerdict::TtlDropped { hops: hop };
+            }
+        }
+    }
+
+    mod walk_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Decode once, step on registers, encode once is bit-exact
+            /// with chaining the single-hop in-place path: same outcome,
+            /// same hop count, same final frame bytes — across parameter
+            /// space (Th > 1, c·H = 64, non-power-of-two b), random
+            /// routes (empty, looping, with out-of-range hops), carried
+            /// shims in any state (garbage padding, Xcnt at 254/255), an
+            /// optional bit-flip, and malformed frames.
+            #[test]
+            fn register_walk_matches_per_hop_frame_walk(
+                params_idx in 0usize..6,
+                nodes in 1usize..10,
+                max_hops in 1u32..48,
+                pre in prop::collection::vec(0usize..12, 0..6),
+                cycle in prop::collection::vec(0usize..12, 0..5),
+                shim_bytes in prop::collection::vec(any::<u8>(), 260),
+                xcnt_mode in 0u8..3,
+                xcnt in any::<u8>(),
+                flip_at in 0u32..32,
+                flip_bit in any::<u32>(),
+                malformed in 0usize..8,
+            ) {
+                let params = [
+                    UnrollerParams::default(),
+                    UnrollerParams::default().with_z(7).with_th(4),
+                    UnrollerParams::default().with_c(2).with_h(2).with_z(12).with_th(3),
+                    UnrollerParams::default().with_c(8).with_h(8).with_z(5).with_th(2),
+                    UnrollerParams::default().with_b(3).with_th(2),
+                    UnrollerParams::default().with_b(5).with_c(3).with_h(2).with_z(11),
+                ][params_idx];
+                let (worker, _producer, _events) = worker_fixture_with(params, nodes, max_hops);
+                let spec = if cycle.is_empty() {
+                    PathSpec::linear(pre)
+                } else {
+                    PathSpec::looping(pre, cycle)
+                };
+                let routes = RouteSet::from_specs(&[spec]);
+                let route = routes.get(RouteId::from_index(0));
+                let err_hop = routes.first_invalid_hops(nodes)[0];
+
+                // A carried frame: the shim holds whatever the capture
+                // saw, padding included.
+                let layout = worker.layout;
+                let mut frame = build_frame(
+                    &layout,
+                    &EthernetHeader::for_hosts(3, 4),
+                    &WireHeader::initial(&layout),
+                    b"payload",
+                );
+                let shim_end = ETH_HEADER_LEN + layout.total_bytes();
+                frame[ETH_HEADER_LEN..shim_end]
+                    .copy_from_slice(&shim_bytes[..shim_end - ETH_HEADER_LEN]);
+                match xcnt_mode {
+                    1 => frame[ETH_HEADER_LEN] = xcnt,
+                    2 => frame[ETH_HEADER_LEN] = 254 + xcnt % 2, // saturation
+                    _ => {}
+                }
+                match malformed {
+                    0 => frame.truncate(shim_end - 1),
+                    1 => frame[12] ^= 0x40,
+                    _ => {}
+                }
+                let flip = (flip_at < 24).then_some((flip_at, flip_bit));
+
+                let mut expected = frame.clone();
+                let want = per_hop_walk(&worker, route, &mut expected, flip);
+                let got = worker.walk_frame(route, err_hop, &mut frame, flip);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(frame, expected);
+            }
+        }
     }
 }

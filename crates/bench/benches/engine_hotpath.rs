@@ -2,7 +2,7 @@
 //! batched ring dispatch, and per-route verdict memoization buy over
 //! the naive per-packet design.
 //!
-//! Five measurements, one JSON report:
+//! Four measurements, one JSON report:
 //!
 //! * `legacy_per_packet_vec` — a faithful in-bench reproduction of the
 //!   engine's pre-interning shape: every packet carries its own
@@ -19,8 +19,6 @@
 //!   packet per route walks and caches `(verdict, final shim)`; every
 //!   later packet on that route settles from the cache, with 1-in-64
 //!   hits re-walked and bit-compared (divergence asserted zero).
-//! * `memoized_stepped` — memoization plus the hop-stepped lane pool
-//!   for the residual (unmemoized) walks.
 //! * `ring` — the SPSC ring in isolation: single `push` per item
 //!   versus `push_batch` bursts of 64, ns/item.
 //!
@@ -187,14 +185,12 @@ fn walk_legacy(
 }
 
 /// One timed engine run over the same walks at `shards` shards, with
-/// the memo/stepped fast paths as configured. Returns (wall_ns,
-/// capacity_pps).
+/// the memo fast path as configured. Returns (wall_ns, capacity_pps).
 fn interned_run(
     walks: &[(FlowKey, Vec<usize>)],
     shards: usize,
     packets: u64,
     memo: Option<MemoConfig>,
-    stepped: bool,
 ) -> (u64, f64) {
     let ids: Vec<u32> = (0..NODES as u32).map(|i| 100 + i).collect();
     let memoized = memo.is_some();
@@ -205,7 +201,6 @@ fn interned_run(
             max_hops: MAX_HOPS,
             full_policy: FullPolicy::Block,
             memo,
-            stepped,
             ..EngineConfig::default()
         },
         &ids,
@@ -235,7 +230,6 @@ fn sweep_shards(
     shard_counts: &[usize],
     packets: u64,
     memo: Option<MemoConfig>,
-    stepped: bool,
 ) -> (Vec<Json>, f64) {
     let mut runs = Vec::new();
     let mut one_shard_pps = 0.0f64;
@@ -244,7 +238,7 @@ fn sweep_shards(
         let mut best_ns = u64::MAX;
         let mut best_cap = 0.0f64;
         for _ in 0..3 {
-            let (ns, cap) = interned_run(walks, shards, packets, memo, stepped);
+            let (ns, cap) = interned_run(walks, shards, packets, memo);
             if ns < best_ns {
                 best_ns = ns;
                 best_cap = cap;
@@ -366,24 +360,13 @@ fn main() {
         shard_counts,
         packets,
         None,
-        false,
     );
-    let memo = Some(MemoConfig::default());
     let (memo_runs, memo_1shard_pps) = sweep_shards(
         "memoized engine",
         &walks,
         shard_counts,
         packets,
-        memo,
-        false,
-    );
-    let (memo_stepped_runs, memo_stepped_1shard_pps) = sweep_shards(
-        "memoized+stepped engine",
-        &walks,
-        shard_counts,
-        packets,
-        memo,
-        true,
+        Some(MemoConfig::default()),
     );
 
     eprintln!("engine_hotpath: ring push vs push_batch ({ring_iters} items each)...");
@@ -412,13 +395,6 @@ fn main() {
     );
     memo_obj.set("runs", Json::Array(memo_runs));
 
-    let mut memo_stepped_obj = Json::object();
-    memo_stepped_obj.set(
-        "sample_every",
-        Json::UInt(unroller_engine::DEFAULT_SAMPLE_EVERY),
-    );
-    memo_stepped_obj.set("runs", Json::Array(memo_stepped_runs));
-
     let mut ring_obj = Json::object();
     ring_obj.set("items", Json::UInt(ring_iters));
     ring_obj.set("batch", Json::UInt(BATCH as u64));
@@ -435,14 +411,9 @@ fn main() {
     root.set("legacy_per_packet_vec", legacy_obj);
     root.set("interned", interned_obj);
     root.set("memoized", memo_obj);
-    root.set("memoized_stepped", memo_stepped_obj);
     root.set("ring", ring_obj);
     root.set("speedup_interned_vs_legacy", Json::Float(speedup));
     root.set("speedup_memoized_vs_walked", Json::Float(speedup_memo));
-    root.set(
-        "speedup_memoized_stepped_vs_walked",
-        Json::Float(memo_stepped_1shard_pps / interned_1shard_pps),
-    );
     let rendered = root.render_pretty();
 
     if let Some(parent) = std::path::Path::new(&out).parent() {

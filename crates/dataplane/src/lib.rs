@@ -48,5 +48,5 @@ pub mod resources;
 pub use header::{HeaderLayout, WireHeader};
 pub use parser::{EthernetHeader, FrameError, ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
 pub use pcap::{PcapError, PcapItem, PcapReader, PcapRecord, PcapStream, PcapWriter};
-pub use pipeline::{process_frame_batch_stepped, Registers, UnrollerPipeline, STEP_LANES};
+pub use pipeline::{Registers, UnrollerPipeline};
 pub use resources::ResourceReport;

@@ -399,40 +399,6 @@ impl UnrollerPipeline {
     }
 }
 
-/// Number of frames a hop-stepped burst advances in lockstep.
-pub const STEP_LANES: usize = 16;
-
-/// Advances a burst of in-flight frames **one hop-step each**, lane `i`
-/// through the pipeline of switch `nodes[i]`, appending one result per
-/// lane to `results` (in lane order): the hop-major alternative to
-/// walking one frame through all its hops, meant to overlap independent
-/// lanes' loads (measured: no gain over the walk). Bit-exact with
-/// calling [`UnrollerPipeline::process_frame_in_place`] per lane (the
-/// equivalence test below checks this across parameter space and
-/// random in-flight shim states).
-///
-/// # Panics
-///
-/// Panics if `frames` and `nodes` disagree in length or a node index is
-/// out of range for `pipelines` — callers (the engine worker) validate
-/// route hops against the pipeline count before a frame enters a lane.
-pub fn process_frame_batch_stepped<F: AsMut<[u8]>>(
-    pipelines: &[UnrollerPipeline],
-    frames: &mut [F],
-    nodes: &[usize],
-    results: &mut Vec<Result<Verdict, FrameError>>,
-) {
-    assert_eq!(
-        frames.len(),
-        nodes.len(),
-        "one hop node per in-flight frame"
-    );
-    results.reserve(frames.len());
-    for (frame, &node) in frames.iter_mut().zip(nodes) {
-        results.push(pipelines[node].process_frame_in_place(frame.as_mut()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,67 +726,6 @@ mod tests {
             Err(FrameError::WrongEthertype(0x0800))
         );
         assert_eq!(frame, before, "rejected frame must not be modified");
-    }
-
-    #[test]
-    fn stepped_batch_matches_per_frame_processing() {
-        // The hop-stepped burst must be observationally identical to
-        // running each lane through its own switch's in-place path, for
-        // random in-flight shim states (mid-journey xcnt/swids), random
-        // per-lane switch assignments, and across parameter space.
-        let mut rng = unroller_core::test_rng(83);
-        for params in [
-            UnrollerParams::default(),
-            UnrollerParams::default().with_z(7).with_th(4),
-            UnrollerParams::default().with_c(2).with_h(2).with_z(12),
-            UnrollerParams::default().with_b(3).with_th(2),
-            UnrollerParams::default().with_c(4).with_h(1).with_z(9),
-        ] {
-            let layout = HeaderLayout::from_params(&params);
-            let pipelines: Vec<UnrollerPipeline> = (0..8)
-                .map(|sw| UnrollerPipeline::new(100 + sw, params).unwrap())
-                .collect();
-            for _ in 0..10 {
-                let lanes = rng.gen_range(1..=STEP_LANES);
-                let mut frames: Vec<Vec<u8>> = (0..lanes)
-                    .map(|_| {
-                        let mut hdr = WireHeader::initial(&layout);
-                        hdr.xcnt = rng.gen_range(0..200);
-                        for slot in hdr.swids.iter_mut() {
-                            *slot = rng.gen::<u32>() & params.z_mask();
-                        }
-                        build_frame(&layout, &EthernetHeader::for_hosts(1, 2), &hdr, b"step")
-                    })
-                    .collect();
-                let nodes: Vec<usize> = (0..lanes)
-                    .map(|_| rng.gen_range(0..pipelines.len()))
-                    .collect();
-                let mut singles = frames.clone();
-                let mut results = Vec::new();
-                process_frame_batch_stepped(&pipelines, &mut frames, &nodes, &mut results);
-                assert_eq!(results.len(), lanes);
-                for (i, frame) in singles.iter_mut().enumerate() {
-                    assert_eq!(
-                        pipelines[nodes[i]].process_frame_in_place(frame),
-                        results[i],
-                        "lane {i} verdict"
-                    );
-                    assert_eq!(*frame, frames[i], "lane {i} bytes diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stepped_batch_surfaces_malformed_lane() {
-        let params = UnrollerParams::default();
-        let pipelines = vec![UnrollerPipeline::new(7, params).unwrap()];
-        let mut frames = vec![vec![0u8; 3]];
-        let nodes = vec![0usize];
-        let mut results = vec![Ok(Verdict::Continue)]; // pre-existing entry
-        process_frame_batch_stepped(&pipelines, &mut frames, &nodes, &mut results);
-        assert_eq!(results.len(), 2, "appends after existing entries");
-        assert!(matches!(results[1], Err(FrameError::TooShort { .. })));
     }
 
     #[test]

@@ -57,7 +57,6 @@ struct Options {
     churn: Option<ChurnPlan>,
     memo: bool,
     memo_sample: u64,
-    stepped: bool,
 }
 
 impl Default for Options {
@@ -92,7 +91,6 @@ impl Default for Options {
             churn: None,
             memo: false,
             memo_sample: DEFAULT_SAMPLE_EVERY,
-            stepped: false,
         }
     }
 }
@@ -186,9 +184,6 @@ fn usage() -> ! {
            --memo-sample N   cross-check one in N cache hits with a full\n\
                              walk (default 64; 0 = never, 1 = every hit;\n\
                              implies --memo)\n\
-           --stepped         walk batches of unmemoized packets in\n\
-                             lock-step, one hop per pass across 16\n\
-                             in-flight frames (best with --memo)\n\
            --help            this text"
     );
     std::process::exit(0);
@@ -294,7 +289,6 @@ fn parse_args() -> Options {
                 opts.memo_sample = num("--memo-sample", value("--memo-sample"));
                 opts.memo = true;
             }
-            "--stepped" => opts.stepped = true,
             "--shed" => opts.shed = true,
             "--pin" => opts.pin = true,
             "--watchdog-ms" => {
@@ -562,7 +556,6 @@ fn main() {
         memo: opts.memo.then_some(MemoConfig {
             sample_every: opts.memo_sample,
         }),
-        stepped: opts.stepped,
         ..EngineConfig::default()
     };
 

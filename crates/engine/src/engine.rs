@@ -99,9 +99,9 @@ pub struct EngineConfig {
     /// ([`MemoConfig::sample_every`] sets the 1-in-N cross-check rate);
     /// `None` walks every packet.
     pub memo: Option<MemoConfig>,
-    /// Advance unmemoized generated walks through the hop-stepped lane
-    /// pool (`dataplane::pipeline::process_frame_batch_stepped`)
-    /// instead of one packet at a time.
+    /// Has no effect: nothing reads it. It stays only so that callers
+    /// which name every field keep compiling, and goes with the next
+    /// benchmark change.
     pub stepped: bool,
 }
 

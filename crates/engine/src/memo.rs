@@ -37,7 +37,7 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 /// The terminal outcome of a route walk, as cached per `RouteId`.
 ///
-/// Mirrors exactly the outcomes the worker's sequential walk can
+/// Mirrors exactly the outcomes the worker's walk can
 /// settle a generated packet with; `hops`/`hop` carry the value the
 /// worker adds to its hop histogram so memoized accounting is
 /// bit-identical to walked accounting.

@@ -1,7 +1,7 @@
-//! Memoization equivalence tests: the per-route verdict cache and the
-//! hop-stepped lane pool are pure performance features — every counter
-//! a walked run produces (delivered, TTL drops, loop events, hop
-//! totals, route errors) must be reproduced exactly with them enabled,
+//! Memoization equivalence tests: the per-route verdict cache is a pure
+//! performance feature — every counter a walked run produces
+//! (delivered, TTL drops, loop events, hop totals, route errors) and
+//! every first-detection packet must be reproduced exactly with it enabled,
 //! across detector parameter space, random route shapes, carried
 //! frames with arbitrary in-flight shim state, and live route churn.
 //!
@@ -33,7 +33,7 @@ use unroller_topology::generators::ring as ring_topology;
 use unroller_topology::ids::assign_sequential_ids;
 
 /// Outcome counters that must be identical between a walked run and
-/// any memoized/stepped run of the same traffic.
+/// any memoized run of the same traffic.
 fn outcome_totals(report: &EngineReport) -> (u64, u64, u64, u64, u64, u64) {
     let sum = |f: fn(&ShardSnapshot) -> u64| report.shard_snapshots.iter().map(f).sum();
     (
@@ -48,12 +48,7 @@ fn outcome_totals(report: &EngineReport) -> (u64, u64, u64, u64, u64, u64) {
 
 /// One engine run over simulator-routed ring traffic with a loop
 /// injected mid-stream, under the given detector params and memo mode.
-fn engine_run(
-    params: UnrollerParams,
-    seed: u64,
-    memo: Option<MemoConfig>,
-    stepped: bool,
-) -> EngineReport {
+fn engine_run(params: UnrollerParams, seed: u64, memo: Option<MemoConfig>) -> EngineReport {
     const NODES: usize = 16;
     let mut sim = Simulator::new(
         ring_topology(NODES),
@@ -73,7 +68,6 @@ fn engine_run(
             full_policy: FullPolicy::Block,
             params,
             memo,
-            stepped,
             ..EngineConfig::default()
         },
         sim.ids(),
@@ -83,20 +77,19 @@ fn engine_run(
 }
 
 #[test]
-fn memoized_and_stepped_engine_runs_match_walked_runs() {
+fn memoized_engine_runs_match_walked_runs() {
     for params in [
         UnrollerParams::default(),
         UnrollerParams::default().with_z(7).with_th(4),
         UnrollerParams::default().with_c(2).with_h(2).with_z(12),
     ] {
         for seed in [5, 11] {
-            let walked = engine_run(params, seed, None, false);
+            let walked = engine_run(params, seed, None);
             assert!(walked.loop_detected());
             assert!(walked.accounted());
             assert!(!walked.memo_enabled);
             // Which packet first detects each flow's loop is part of
-            // the contract for sequential modes (stepped drains reorder
-            // within a batch, so they are held to flow-set equality).
+            // the contract: every packet is processed in ring order.
             let mut walked_events: Vec<(u64, u64)> = walked
                 .aggregator
                 .events
@@ -106,25 +99,12 @@ fn memoized_and_stepped_engine_runs_match_walked_runs() {
             // Sorted: the aggregator interleaves the two shards'
             // event streams nondeterministically.
             walked_events.sort_unstable();
-            let walked_flows: std::collections::BTreeSet<u64> =
-                walked_events.iter().map(|&(f, _)| f).collect();
-            for (name, memo, stepped) in [
-                ("stepped", None, true),
-                ("memo-paranoid", Some(MemoConfig { sample_every: 1 }), false),
-                (
-                    "memo-unsampled",
-                    Some(MemoConfig { sample_every: 0 }),
-                    false,
-                ),
-                (
-                    "memo+stepped",
-                    Some(MemoConfig {
-                        sample_every: unroller_engine::DEFAULT_SAMPLE_EVERY,
-                    }),
-                    true,
-                ),
+            for (name, sample_every) in [
+                ("memo-paranoid", 1),
+                ("memo-unsampled", 0),
+                ("memo-default", unroller_engine::DEFAULT_SAMPLE_EVERY),
             ] {
-                let run = engine_run(params, seed, memo, stepped);
+                let run = engine_run(params, seed, Some(MemoConfig { sample_every }));
                 assert!(run.accounted(), "{name}: accounted");
                 assert_eq!(
                     outcome_totals(&run),
@@ -132,32 +112,19 @@ fn memoized_and_stepped_engine_runs_match_walked_runs() {
                     "{name}: outcome counters diverged from the walked run"
                 );
                 assert_eq!(run.memo_divergence(), 0, "{name}: divergence");
-                if memo.is_some() {
-                    assert!(run.memo_enabled);
-                    assert!(run.memo_hits() > 0, "{name}: the cache was exercised");
-                } else {
-                    assert_eq!(run.memo_hits() + run.memo_misses(), 0, "{name}");
-                }
-                let flows: std::collections::BTreeSet<u64> = run
+                assert!(run.memo_enabled);
+                assert!(run.memo_hits() > 0, "{name}: the cache was exercised");
+                let mut events: Vec<(u64, u64)> = run
                     .aggregator
                     .events
                     .iter()
-                    .map(|e| e.flow.rss_hash())
+                    .map(|e| (e.flow.rss_hash(), e.seq))
                     .collect();
-                assert_eq!(flows, walked_flows, "{name}: detected flow set");
-                if !stepped {
-                    let mut events: Vec<(u64, u64)> = run
-                        .aggregator
-                        .events
-                        .iter()
-                        .map(|e| (e.flow.rss_hash(), e.seq))
-                        .collect();
-                    events.sort_unstable();
-                    assert_eq!(
-                        events, walked_events,
-                        "{name}: first-detection packets diverged"
-                    );
-                }
+                events.sort_unstable();
+                assert_eq!(
+                    events, walked_events,
+                    "{name}: first-detection packets diverged"
+                );
             }
         }
     }
@@ -177,7 +144,6 @@ fn churn_storm_with_memo_keeps_full_recall_and_never_diverges() {
             ring_capacity: 512,
             full_policy: FullPolicy::Block,
             memo: Some(MemoConfig { sample_every: 2 }),
-            stepped: true,
             ..EngineConfig::default()
         },
         &(0..16).map(|i| 100 + i).collect::<Vec<u32>>(),
@@ -222,7 +188,6 @@ fn run_worker(
     routes: &Arc<RouteSet>,
     packets: &[EnginePacket],
     memo: Option<MemoConfig>,
-    stepped: bool,
 ) -> ShardSnapshot {
     let ids: Arc<[u32]> = (0..nodes as u32).map(|i| 100 + i).collect();
     let pipelines = Arc::new(
@@ -248,7 +213,7 @@ fn run_worker(
         kick: Arc::new(AtomicBool::new(false)),
         pin_core: None,
         memo,
-        stepped,
+        stepped: false,
     };
     for p in packets {
         producer.push(EnginePacket {
@@ -278,7 +243,6 @@ proptest! {
     fn random_routes_params_and_shims_stay_bit_exact(
         seed in 0u64..1_000_000,
         params_idx in 0usize..4,
-        stepped in 0usize..2,
     ) {
         let params = [
             UnrollerParams::default(),
@@ -286,7 +250,6 @@ proptest! {
             UnrollerParams::default().with_c(2).with_h(2).with_z(12),
             UnrollerParams::default().with_b(3).with_th(2),
         ][params_idx];
-        let stepped = stepped == 1;
         let layout = HeaderLayout::from_params(&params);
         let mut rng = unroller_core::test_rng(seed);
         let nodes = rng.gen_range(4..12usize);
@@ -338,7 +301,7 @@ proptest! {
             })
             .collect();
 
-        let walked = run_worker(params, nodes, max_hops, &routes, &packets, None, false);
+        let walked = run_worker(params, nodes, max_hops, &routes, &packets, None);
         let memoized = run_worker(
             params,
             nodes,
@@ -346,7 +309,6 @@ proptest! {
             &routes,
             &packets,
             Some(MemoConfig { sample_every: 1 }),
-            stepped,
         );
         prop_assert_eq!(memoized.packets, walked.packets);
         prop_assert_eq!(memoized.delivered, walked.delivered);

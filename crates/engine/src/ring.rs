@@ -14,9 +14,10 @@
 //! on, and vice versa. Both sides keep a *cached* copy of the other
 //! side's index, refreshed only when the ring looks full (producer) or
 //! empty (consumer): in steady state an enqueue or a drain touches no
-//! shared line beyond its own index publish. [`RingProducer::push_batch`]
-//! amortizes even that publish — one `Release` store per burst instead
-//! of per packet.
+//! shared line beyond its own index publish and the slot chunks it
+//! moves items through. [`RingProducer::push_batch`] and the consumer's
+//! drain amortize both — one `Release` store per burst and one chunk
+//! lock per run of up to 64 slots, instead of one each per packet.
 //!
 //! Blocking (an empty consumer, or a full ring under
 //! [`FullPolicy::Block`]) spins briefly, then parks on a condvar so
@@ -136,17 +137,27 @@ impl RingCounters {
     }
 }
 
-/// The state both halves share. Slots are `Mutex<Option<T>>` — the
-/// crate forbids `unsafe`, so this stands in for the `UnsafeCell` slot
-/// a lock-free ring would use; SPSC hand-off means every slot lock is
-/// uncontended in steady state (the two sides only meet on a slot when
-/// the ring is completely full or empty).
+/// Slots per lock, capped at the physical slot count.
+const CHUNK: usize = 64;
+
+/// One lock's run of consecutive slots.
+type Chunk<T> = Mutex<Box<[Option<T>]>>;
+
+/// The state both halves share. The crate forbids `unsafe`, so slots
+/// sit behind locks instead of in `UnsafeCell`s — one `Mutex` per
+/// [`CHUNK`] consecutive slots. Each side takes one lock per
+/// chunk-sized run of a burst, and the lock is uncontended except when
+/// the two sides work in the same chunk, which only happens while the
+/// ring is within one chunk of empty or full.
 #[derive(Debug)]
 struct RingShared<T> {
-    slots: Box<[Mutex<Option<T>>]>,
+    /// `slots.len() * chunk` physical slots, a power of two.
+    slots: Box<[Chunk<T>]>,
+    /// Slots per lock, a power of two.
+    chunk: usize,
     mask: usize,
-    /// Logical capacity (may be less than `slots.len()`, which is the
-    /// next power of two).
+    /// Logical capacity (may be less than the physical slot count,
+    /// which is the next power of two).
     capacity: usize,
     /// Producer publish index: slots `[head, tail)` are full.
     tail: CachePadded<AtomicUsize>,
@@ -166,15 +177,20 @@ struct RingShared<T> {
 }
 
 impl<T> RingShared<T> {
-    /// Locks a slot, riding through poisoning: a slot mutex can only be
+    /// Locks the chunk holding slot `index` and returns it with the
+    /// slot's offset in it and the number of slots from there to the
+    /// chunk's end. Rides through poisoning: a chunk mutex can only be
     /// poisoned if moving a `T` panicked mid-hand-off, and the item is
     /// then accounted as lost by the supervised side — the ring itself
     /// stays usable.
-    fn slot(&self, index: usize) -> MutexGuard<'_, Option<T>> {
-        match self.slots[index & self.mask].lock() {
+    fn chunk_at(&self, index: usize) -> (MutexGuard<'_, Box<[Option<T>]>>, usize, usize) {
+        let slot = index & self.mask;
+        let offset = slot & (self.chunk - 1);
+        let guard = match self.slots[slot / self.chunk].lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
-        }
+        };
+        (guard, offset, self.chunk - offset)
     }
 
     /// Wakes the consumer if (and only if) it is parked.
@@ -227,8 +243,12 @@ pub fn ring<T>(
 ) -> (RingProducer<T>, RingConsumer<T>, Arc<RingCounters>) {
     assert!(capacity >= 1, "ring capacity must be at least 1");
     let slots = capacity.next_power_of_two();
+    let chunk = CHUNK.min(slots);
     let shared = Arc::new(RingShared {
-        slots: (0..slots).map(|_| Mutex::new(None)).collect(),
+        slots: (0..slots / chunk)
+            .map(|_| Mutex::new((0..chunk).map(|_| None).collect()))
+            .collect(),
+        chunk,
         mask: slots - 1,
         capacity,
         tail: CachePadded(AtomicUsize::new(0)),
@@ -272,11 +292,21 @@ impl<T> RingProducer<T> {
         self.shared.capacity - (tail - head)
     }
 
-    /// Writes `item` into the next slot without publishing it.
-    fn stage(&self, item: T) {
-        let tail = self.tail.get();
-        *self.shared.slot(tail) = Some(item);
-        self.tail.set(tail + 1);
+    /// Writes the next `n` items of `items` into the next slots without
+    /// publishing them, one chunk lock per run. The caller has checked
+    /// that `n` slots are free and that `items` holds at least `n`.
+    fn stage(&self, items: &mut impl Iterator<Item = T>, mut n: usize) {
+        let mut tail = self.tail.get();
+        while n > 0 {
+            let (mut chunk, offset, room) = self.shared.chunk_at(tail);
+            let run = room.min(n);
+            for (slot, item) in chunk[offset..offset + run].iter_mut().zip(&mut *items) {
+                *slot = Some(item);
+            }
+            tail += run;
+            n -= run;
+        }
+        self.tail.set(tail);
     }
 
     /// Publishes every staged slot and wakes a parked consumer.
@@ -329,7 +359,7 @@ impl<T> RingProducer<T> {
             return PushOutcome::DroppedFull;
         }
         if self.free_slots() > 0 {
-            self.stage(item);
+            self.stage(&mut std::iter::once(item), 1);
             self.publish();
             self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
             return PushOutcome::Enqueued;
@@ -344,7 +374,7 @@ impl<T> RingProducer<T> {
                 // A blocking wait wakes with a failure if the consumer
                 // dies — bounded wait, never a deadlock.
                 if self.wait_for_space() {
-                    self.stage(item);
+                    self.stage(&mut std::iter::once(item), 1);
                     self.publish();
                     self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
                     PushOutcome::EnqueuedAfterStall
@@ -386,12 +416,9 @@ impl<T> RingProducer<T> {
                     }
                 }
             }
+            // `drain` yields exactly `remaining` more items.
             let take = free.min(remaining);
-            for _ in 0..take {
-                // `drain` yields exactly `remaining` more items.
-                let Some(item) = drain.next() else { break };
-                self.stage(item);
-            }
+            self.stage(&mut drain, take);
             self.publish();
             remaining -= take;
             if stalled_round {
@@ -443,13 +470,16 @@ impl<T> RingConsumer<T> {
             self.cached_tail.set(tail);
         }
         let take = (tail - head).min(max);
-        for i in 0..take {
-            let item = self
-                .shared
-                .slot(head + i)
-                .take()
-                .expect("published slot must hold an item");
-            out.push(item);
+        let mut at = head;
+        while at < head + take {
+            let (mut chunk, offset, room) = self.shared.chunk_at(at);
+            let run = room.min(head + take - at);
+            out.extend(
+                chunk[offset..offset + run]
+                    .iter_mut()
+                    .map(|slot| slot.take().expect("published slot must hold an item")),
+            );
+            at += run;
         }
         if take > 0 {
             self.head.set(head + take);

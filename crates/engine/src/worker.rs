@@ -4,10 +4,11 @@
 //! A worker reads the per-switch [`UnrollerPipeline`]s, indexed by
 //! node, through the engine's shared `Arc`: register files are
 //! read-only per packet, and a packet's walk state lives in stack
-//! registers, so shards process lock-free without private copies — the
-//! hot loop writes only its own stack, its scratch frame, and its
-//! (atomic, uncontended) metrics block. Flow affinity is what makes
-//! this sound: a flow's packets all arrive on this one shard, so
+//! registers, so shards process lock-free without private copies. The
+//! hot loop writes only its own stack, its scratch frame, a per-batch
+//! tally of the settle counters, and its (atomic, uncontended) metrics
+//! block, which the tally reaches once per batch. Flow affinity is what
+//! makes this sound: a flow's packets all arrive on this one shard, so
 //! nothing about a packet's journey is ever visible to another thread.
 //!
 //! **Wire-frame hot path.** A packet walks all of its hops inside this
@@ -101,6 +102,40 @@ const MIN_FRAME_LEN: usize = 64;
 /// below `u32::MAX`.)
 const ROUTE_VALID: u32 = u32::MAX;
 
+/// The settle-path counters, kept as plain integers while a batch runs
+/// and added to the shard's [`ShardMetrics`] once at its end: one
+/// atomic add per counter per batch instead of up to three per packet.
+#[derive(Default)]
+struct BatchTally {
+    memo_hits: u64,
+    memo_misses: u64,
+    hops: u64,
+    delivered: u64,
+    ttl_dropped: u64,
+    route_errors: u64,
+    frame_errors: u64,
+}
+
+impl BatchTally {
+    /// Adds every non-zero count to `metrics` and resets the tally.
+    fn flush(&mut self, metrics: &ShardMetrics) {
+        let t = std::mem::take(self);
+        for (counter, n) in [
+            (&metrics.memo_hits, t.memo_hits),
+            (&metrics.memo_misses, t.memo_misses),
+            (&metrics.hops, t.hops),
+            (&metrics.delivered, t.delivered),
+            (&metrics.ttl_dropped, t.ttl_dropped),
+            (&metrics.route_errors, t.route_errors),
+            (&metrics.frame_errors, t.frame_errors),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// One shard's processing loop.
 pub struct ShardWorker {
     /// Shard index (for event attribution).
@@ -193,6 +228,7 @@ impl ShardWorker {
             .unwrap_or(u64::MAX);
         let mut restarts = 0u64;
         let mut draining_only = false;
+        let mut tally = BatchTally::default();
         loop {
             batch.clear();
             let wait_start = Instant::now();
@@ -248,7 +284,14 @@ impl ShardWorker {
                         let i = cursor.get();
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
-                        self.process(&err_hops, &mut batch[i], &mut scratch, fault, &mut memo);
+                        self.process(
+                            &err_hops,
+                            &mut batch[i],
+                            &mut scratch,
+                            fault,
+                            &mut memo,
+                            &mut tally,
+                        );
                     }
                 }));
                 if outcome.is_ok() {
@@ -279,6 +322,9 @@ impl ShardWorker {
                     table.invalidate(self.routes.routes().len());
                 }
             }
+            // The tally lives outside the unwound frames, so it still
+            // holds every packet settled before a caught panic.
+            tally.flush(&self.metrics);
             self.metrics
                 .packets
                 .fetch_add(batch.len() as u64 - lost_in_batch, Ordering::Relaxed);
@@ -334,6 +380,7 @@ impl ShardWorker {
         scratch: &mut [u8],
         fault: PacketFault,
         memo: &mut Option<MemoTable>,
+        tally: &mut BatchTally,
     ) {
         let flip = match fault {
             PacketFault::Panic => {
@@ -344,7 +391,7 @@ impl ShardWorker {
             PacketFault::None => None,
         };
         if packet.frame.is_none() && flip.is_none() {
-            self.process_generated(err_hops, packet, scratch, memo);
+            self.process_generated(err_hops, packet, scratch, memo, tally);
             return;
         }
         let frame: &mut [u8] = match packet.frame.as_mut() {
@@ -361,14 +408,14 @@ impl ShardWorker {
         // but resolved against the reader's *current* one, which may be
         // smaller. An out-of-range id is a route error, not a panic.
         let Some(route) = self.routes.routes().get_checked(packet.route) else {
-            self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
+            tally.route_errors += 1;
             return;
         };
         // In bounds: `err_hops` is rebuilt from the same generation the
         // checked lookup just succeeded against.
         let err_hop = err_hops[packet.route.index()];
         let end = self.walk_frame(route, err_hop, frame, flip);
-        self.settle(packet.flow, packet.seq, route, end);
+        self.settle(tally, packet.flow, packet.seq, route, end);
     }
 
     /// The memo-aware path for a generated packet: settle from the
@@ -380,9 +427,10 @@ impl ShardWorker {
         packet: &EnginePacket,
         scratch: &mut [u8],
         memo: &mut Option<MemoTable>,
+        tally: &mut BatchTally,
     ) {
         let Some(route) = self.routes.routes().get_checked(packet.route) else {
-            self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
+            tally.route_errors += 1;
             return;
         };
         let idx = packet.route.index();
@@ -390,7 +438,7 @@ impl ShardWorker {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         if let Some(table) = memo.as_mut() {
             if let Some(cached) = table.lookup_verdict(idx) {
-                self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
+                tally.memo_hits += 1;
                 if table.should_sample() {
                     // Sampled cross-check: the full walk stays the
                     // ground truth — compare verdict and final shim
@@ -405,20 +453,20 @@ impl ShardWorker {
                     {
                         self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.settle(packet.flow, packet.seq, route, end);
+                    self.settle(tally, packet.flow, packet.seq, route, end);
                 } else {
-                    self.settle(packet.flow, packet.seq, route, cached);
+                    self.settle(tally, packet.flow, packet.seq, route, cached);
                 }
                 return;
             }
-            self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
+            tally.memo_misses += 1;
             let end = self.walk_generated(route, err_hop, scratch);
             table.record(idx, end, &scratch[ETH_HEADER_LEN..shim_end]);
-            self.settle(packet.flow, packet.seq, route, end);
+            self.settle(tally, packet.flow, packet.seq, route, end);
             return;
         }
         let end = self.walk_generated(route, err_hop, scratch);
-        self.settle(packet.flow, packet.seq, route, end);
+        self.settle(tally, packet.flow, packet.seq, route, end);
     }
 
     /// Resets the scratch shim to the generated-traffic initial state
@@ -529,30 +577,37 @@ impl ShardWorker {
     }
 
     /// Applies a walk outcome to the shard's books: hop and outcome
-    /// counters, plus §3.5 membership collection and the loop event for
-    /// detections. The single accounting sink for every walk flavour —
+    /// counters (into the batch tally), plus §3.5 membership collection
+    /// and the loop event for detections. The single accounting sink for every walk flavour —
     /// a memoized verdict is indistinguishable from a walked one here.
-    fn settle(&self, flow: FlowKey, seq: u64, route: &CompiledRoute, end: MemoVerdict) {
+    fn settle(
+        &self,
+        tally: &mut BatchTally,
+        flow: FlowKey,
+        seq: u64,
+        route: &CompiledRoute,
+        end: MemoVerdict,
+    ) {
         match end {
             MemoVerdict::Delivered { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.delivered.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.delivered += 1;
             }
             MemoVerdict::Loop { trigger, hop } => {
-                self.metrics.hops.fetch_add(hop as u64, Ordering::Relaxed);
+                tally.hops += hop as u64;
                 self.report_loop(flow, seq, route, trigger as usize, hop);
             }
             MemoVerdict::TtlDropped { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.ttl_dropped.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.ttl_dropped += 1;
             }
             MemoVerdict::RouteError { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.route_errors += 1;
             }
             MemoVerdict::FrameError { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.frame_errors.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.frame_errors += 1;
             }
         }
     }
@@ -923,10 +978,19 @@ mod tests {
                 "memo {memo:?}: each panic loses exactly one packet and costs one restart"
             );
             assert_eq!(snap.delivered, snap.packets, "survivors all deliver");
+            // The injected panic fires before the walk, so a lost packet
+            // adds no hops: a per-batch tally dropped or flushed twice
+            // across a restart breaks these sums.
+            assert_eq!(snap.hops, 4 * snap.delivered, "memo {memo:?}: 4 hops each");
             assert_eq!(snap.memo_divergence, 0);
             if memo.is_some() {
                 assert!(snap.memo_hits > 0, "the table served between restarts");
                 assert!(snap.memo_misses > 1, "restarts forced the table to re-warm");
+                assert_eq!(
+                    snap.memo_hits + snap.memo_misses,
+                    snap.packets,
+                    "every survivor was a hit or a miss"
+                );
             }
         }
     }

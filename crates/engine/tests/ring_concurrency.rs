@@ -4,21 +4,29 @@
 //! attack the *combinations*: single pushes interleaved with batched
 //! pushes and partial drains (property-tested), and genuine two-thread
 //! producer/consumer races with randomized batch sizes under both full
-//! policies. The invariant throughout is exactly-once FIFO delivery:
-//! every enqueued item comes out once, in order, and everything else is
-//! a counted drop — never a silent loss, never a duplicate.
+//! policies. Capacities around the ring's 64-slot chunk lock, with
+//! bursts longer than a chunk, make runs split across chunk boundaries
+//! and wrap the slot array. The invariant throughout is exactly-once
+//! FIFO delivery: every enqueued item comes out once, in order, and
+//! everything else is a counted drop — never a silent loss, never a
+//! duplicate.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use unroller_engine::ring::ring;
 use unroller_engine::FullPolicy;
 
-/// Replays a generated op sequence against a small Drop-policy ring,
-/// tracking exactly which items the ring accepted: `push` reports
-/// acceptance directly, and `push_batch` under Drop accepts a prefix of
-/// the batch of length `enqueued` (nothing stalls without a blocking
-/// policy). Partial drains are interleaved between ops; at the end the
-/// producer closes the ring and the consumer drains the rest.
+/// Ring capacities below, at, just past and several times the ring's
+/// 64-slot chunk.
+const CAPACITIES: [usize; 8] = [1, 3, 63, 64, 65, 100, 200, 1024];
+
+/// Replays a generated op sequence against a ring, tracking exactly
+/// which items the ring accepted: `push` reports acceptance directly,
+/// and `push_batch` under Drop accepts a prefix of the batch of length
+/// `enqueued`. Under Block nothing may stall (no second thread could
+/// unblock it), so each op offers only what still fits. Partial drains
+/// are interleaved between ops; at the end the producer closes the ring
+/// and the consumer drains the rest.
 fn run_interleaved(
     ops: &[(bool, usize, bool, usize)],
     capacity: usize,
@@ -31,7 +39,12 @@ fn run_interleaved(
     let mut next: u64 = 0;
     let mut dropped = 0usize;
     for &(use_batch, batch_len, drain, drain_max) in ops {
+        let fits = match policy {
+            FullPolicy::Drop => usize::MAX,
+            FullPolicy::Block => capacity - in_ring,
+        };
         if use_batch {
+            let batch_len = batch_len.min(fits);
             let mut batch: Vec<u64> = (next..next + batch_len as u64).collect();
             next += batch_len as u64;
             let result = producer.push_batch(&mut batch);
@@ -45,7 +58,7 @@ fn run_interleaved(
             expected.extend(next - batch_len as u64..next - batch_len as u64 + accepted as u64);
             in_ring += accepted;
             dropped += result.dropped;
-        } else {
+        } else if fits > 0 {
             let item = next;
             next += 1;
             if producer.push(item) {
@@ -102,6 +115,22 @@ proptest! {
         // 48 ops × at most 8 items each stays under 512.
         run_interleaved(&ops, 512, FullPolicy::Block)?;
     }
+
+    /// Bursts and drains up to 150 items against capacities around the
+    /// chunk size: runs straddle chunk boundaries and wrap the slot
+    /// array, under both policies.
+    #[test]
+    fn chunk_straddling_ops_stay_fifo(
+        capacity in 0usize..CAPACITIES.len(),
+        block in any::<bool>(),
+        ops in prop::collection::vec(
+            (any::<bool>(), 0usize..150, any::<bool>(), 1usize..150),
+            0..48,
+        ),
+    ) {
+        let policy = if block { FullPolicy::Block } else { FullPolicy::Drop };
+        run_interleaved(&ops, CAPACITIES[capacity], policy)?;
+    }
 }
 
 /// Two real threads, Block policy, a ring far smaller than the stream:
@@ -149,6 +178,53 @@ fn two_thread_block_stress_delivers_every_item_in_order() {
     let snap = counters.snapshot();
     assert_eq!(snap.enqueued, TOTAL);
     assert_eq!(snap.dropped_full, 0);
+}
+
+/// Two threads at the engine's default ring capacity (1024 slots, 16
+/// chunks), bursts of 1..200 under both policies: bursts and drains
+/// split across chunks and wrap the slot array while the other side
+/// works, and delivery stays exactly-once FIFO with every loss counted.
+#[test]
+fn two_thread_default_capacity_stress_under_both_policies() {
+    const TOTAL: u64 = 200_000;
+    for policy in [FullPolicy::Block, FullPolicy::Drop] {
+        let (producer, consumer, counters) = ring::<u64>(1024, policy);
+        let (accepted, received) = std::thread::scope(|scope| {
+            let consumer_thread = scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+                let mut received = Vec::with_capacity(TOTAL as usize);
+                while consumer.recv_batch(&mut received, rng.gen_range(1usize..200)) {}
+                received
+            });
+            let producer_thread = scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+                let mut accepted = Vec::with_capacity(TOTAL as usize);
+                let mut next: u64 = 0;
+                let mut batch = Vec::new();
+                while next < TOTAL {
+                    let len = (rng.gen_range(1u64..200)).min(TOTAL - next);
+                    batch.extend(next..next + len);
+                    let result = producer.push_batch(&mut batch);
+                    let taken = (result.enqueued + result.stalled) as u64;
+                    assert_eq!(taken + result.dropped as u64, len, "{policy:?}");
+                    accepted.extend(next..next + taken);
+                    next += len;
+                }
+                accepted
+            });
+            (
+                producer_thread.join().expect("producer thread"),
+                consumer_thread.join().expect("consumer thread"),
+            )
+        });
+        if policy == FullPolicy::Block {
+            assert_eq!(accepted.len() as u64, TOTAL, "Block with a live consumer");
+        }
+        assert_eq!(received, accepted, "{policy:?}: exactly-once FIFO");
+        let snap = counters.snapshot();
+        assert_eq!(snap.enqueued, accepted.len() as u64);
+        assert_eq!(snap.enqueued + snap.dropped_full, TOTAL, "{policy:?}");
+    }
 }
 
 /// Two threads under Drop: the consumer receives exactly the items the

@@ -168,10 +168,7 @@ pub fn run_mirroring(
     max_hops: u64,
 ) -> (Option<u64>, u64) {
     let mut collector = Collector::new(cfg);
-    for hop in 1..=max_hops {
-        let Some(switch) = walk.switch_at(hop) else {
-            break;
-        };
+    for (hop, switch) in (1..=max_hops).zip(walk.hops()) {
         if let Some(f) = collector.observe(packet, switch, hop) {
             return (Some(f.hop), collector.network_overhead_bits());
         }

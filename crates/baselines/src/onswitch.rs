@@ -124,10 +124,7 @@ pub fn run_onswitch(
     max_hops: u64,
 ) -> (Option<u64>, u64) {
     let mut reg = FlowRegistry::new(cfg);
-    for hop in 1..=max_hops {
-        let Some(switch) = walk.switch_at(hop) else {
-            break;
-        };
+    for (hop, switch) in (1..=max_hops).zip(walk.hops()) {
         if let Some(at) = reg.observe(packet, switch, hop) {
             return (Some(at), reg.state_bits());
         }

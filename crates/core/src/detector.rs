@@ -10,12 +10,9 @@
 
 use crate::hashing::HashFamily;
 use crate::params::{ParamError, UnrollerParams};
+use crate::phase::PositionTable;
 use crate::profile::{Category, DetectorProfile, OverheadLevel};
 use crate::SwitchId;
-
-/// Maximum number of identifier slots (`c · H`) a packet may carry;
-/// enforced by [`UnrollerParams::validate`].
-pub const MAX_SLOTS: usize = 64;
 
 /// The outcome of processing one packet at one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +114,8 @@ impl UnrollerState {
 /// The Unroller loop detector (paper §3–§4).
 ///
 /// Holds the run-time configuration every switch shares: the parameters
-/// of [`UnrollerParams`] plus the seeded [`HashFamily`].
+/// of [`UnrollerParams`] plus the seeded [`HashFamily`], and the
+/// per-hop chunk positions precomputed from the phase schedule.
 ///
 /// ```
 /// use unroller_core::prelude::*;
@@ -134,6 +132,7 @@ impl UnrollerState {
 pub struct Unroller {
     params: UnrollerParams,
     hashes: HashFamily,
+    positions: PositionTable,
 }
 
 impl Unroller {
@@ -142,9 +141,7 @@ impl Unroller {
     /// configuration (`z = 32`, `H = 1`), a seeded SplitMix family
     /// otherwise.
     pub fn from_params(params: UnrollerParams) -> Result<Self, ParamError> {
-        params.validate()?;
-        let hashes = HashFamily::default_for(params.z, params.h);
-        Ok(Unroller { params, hashes })
+        Self::with_hashes(params, HashFamily::default_for(params.z, params.h))
     }
 
     /// Builds a detector with an explicit hash family (e.g. a fresh seed
@@ -160,7 +157,12 @@ impl Unroller {
         if hashes.len() != params.h as usize {
             return Err(ParamError::NoHashes);
         }
-        Ok(Unroller { params, hashes })
+        let positions = PositionTable::new(params.schedule, params.b, params.c);
+        Ok(Unroller {
+            params,
+            hashes,
+            positions,
+        })
     }
 
     /// The detector's configuration.
@@ -190,31 +192,23 @@ impl InPacketDetector for Unroller {
         state.clear();
     }
 
+    #[inline]
     fn on_switch(&self, st: &mut UnrollerState, switch: SwitchId) -> Verdict {
         let p = &self.params;
-        let (h, c) = (p.h as usize, p.c as usize);
+        let (h, c, z_mask) = (p.h as usize, p.c as usize, p.z_mask());
+        let hash = |i: usize| self.hashes.hash(i, switch) & z_mask;
 
         // (1) Increment the hop counter — Xcnt is the number of switches
         // traversed *including* this one.
         st.xcnt += 1;
 
-        // (2) Evaluate the hash functions on the switch ID.
-        let mut hashes = [0u32; MAX_SLOTS];
-        self.hashes
-            .hash_all_into(switch, p.z_mask(), &mut hashes[..h]);
-
-        // (3) Compare against every stored identifier. A match means the
-        // packet (probably) visited this switch before.
-        let mut matched = false;
-        'outer: for (i, &hv) in hashes[..h].iter().enumerate() {
-            for j in 0..c {
-                let slot = i * c + j;
-                if st.occupied & (1 << slot) != 0 && st.swids[slot] == hv {
-                    matched = true;
-                    break 'outer;
-                }
-            }
-        }
+        // (2)+(3) Evaluate each hash function on the switch ID and compare
+        // it against every stored identifier of that function. A match
+        // means the packet (probably) visited this switch before.
+        let matched = (0..h).any(|i| {
+            let hv = hash(i);
+            (i * c..(i + 1) * c).any(|slot| st.occupied & (1 << slot) != 0 && st.swids[slot] == hv)
+        });
         if matched {
             st.thcnt += 1;
             if st.thcnt >= p.th {
@@ -228,10 +222,12 @@ impl InPacketDetector for Unroller {
         // *before* any phase reset, so a loop closing exactly on a phase
         // boundary is still caught. Only the current chunk's slots are
         // written: overwritten at a chunk boundary, min-merged otherwise.
-        let pos = p.schedule.position(st.xcnt, p.b, p.c);
-        let j = pos.chunk as usize;
-        let fresh = pos.is_chunk_start(st.xcnt);
-        for (i, &hv) in hashes[..h].iter().enumerate() {
+        // The hashes are evaluated again rather than kept in a scratch
+        // array: a few multiplies cost less than zeroing a 64-word array
+        // on every hop.
+        let (j, fresh) = self.positions.at(st.xcnt);
+        for i in 0..h {
+            let hv = hash(i);
             let slot = i * c + j;
             let bit = 1u64 << slot;
             if fresh || st.occupied & bit == 0 {
@@ -262,7 +258,10 @@ impl InPacketDetector for Unroller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashing::{HashFamily, HashKind};
     use crate::phase::PhaseSchedule;
+    use crate::walk::{run_detector_with, DetectionOutcome, Walk};
+    use proptest::prelude::*;
 
     fn det(params: UnrollerParams) -> Unroller {
         Unroller::from_params(params).unwrap()
@@ -509,6 +508,192 @@ mod tests {
                 walk.extend(1..=10);
             }
             assert!(drive(&d, &walk).is_some(), "z={z}");
+        }
+    }
+
+    /// The per-hop rule as it stood before the position table: every
+    /// hash lands in a zeroed scratch array and every hop searches the
+    /// schedule with `position()`. Kept as the reference the table-driven
+    /// step must match.
+    fn reference_step(d: &Unroller, st: &mut UnrollerState, switch: SwitchId) -> Verdict {
+        let p = d.params();
+        let (h, c) = (p.h as usize, p.c as usize);
+        st.xcnt += 1;
+        let mut hashes = [0u32; crate::params::MAX_SLOTS];
+        d.hashes()
+            .hash_all_into(switch, p.z_mask(), &mut hashes[..h]);
+        let mut matched = false;
+        'outer: for (i, &hv) in hashes[..h].iter().enumerate() {
+            for j in 0..c {
+                let slot = i * c + j;
+                if st.occupied & (1 << slot) != 0 && st.swids[slot] == hv {
+                    matched = true;
+                    break 'outer;
+                }
+            }
+        }
+        if matched {
+            st.thcnt += 1;
+            if st.thcnt >= p.th {
+                return Verdict::LoopReported;
+            }
+        }
+        let pos = p.schedule.position(st.xcnt, p.b, p.c);
+        let j = pos.chunk as usize;
+        let fresh = pos.is_chunk_start(st.xcnt);
+        for (i, &hv) in hashes[..h].iter().enumerate() {
+            let slot = i * c + j;
+            let bit = 1u64 << slot;
+            if fresh || st.occupied & bit == 0 {
+                st.swids[slot] = hv;
+                st.occupied |= bit;
+            } else if hv < st.swids[slot] {
+                st.swids[slot] = hv;
+            }
+        }
+        Verdict::Continue
+    }
+
+    /// Runs [`reference_step`] along `walk` the way the runner did before
+    /// `Walk::hops`: `switch_at` on every hop.
+    fn reference_run(
+        d: &Unroller,
+        walk: &Walk,
+        max_hops: u64,
+    ) -> (DetectionOutcome, UnrollerState) {
+        let mut st = d.init_state();
+        for hop in 1..=max_hops {
+            let Some(switch) = walk.switch_at(hop) else {
+                break;
+            };
+            if reference_step(d, &mut st, switch).reported() {
+                let out = DetectionOutcome {
+                    reported_at: Some(hop),
+                    true_positive: walk.is_revisit(hop),
+                };
+                return (out, st);
+            }
+        }
+        let out = DetectionOutcome {
+            reported_at: None,
+            true_positive: false,
+        };
+        (out, st)
+    }
+
+    /// Asserts the table-driven step and the reference agree on `walk`:
+    /// the same outcome and the same final packet state.
+    fn assert_matches_reference(d: &Unroller, walk: &Walk, max_hops: u64) -> DetectionOutcome {
+        let (want, want_state) = reference_run(d, walk, max_hops);
+        let mut st = d.init_state();
+        let got = run_detector_with(d, walk, max_hops, &mut st);
+        assert_eq!(got, want, "{:?} B={} L={}", d.params(), walk.b(), walk.l());
+        assert_eq!(
+            st,
+            want_state,
+            "{:?} B={} L={}",
+            d.params(),
+            walk.b(),
+            walk.l()
+        );
+        got
+    }
+
+    fn detector_for(
+        (b, c, h): (u32, u32, u32),
+        (z, th, cumulative): (u32, u32, bool),
+        kind: usize,
+    ) -> Unroller {
+        let schedule = if cumulative {
+            PhaseSchedule::CumulativeGeometric
+        } else {
+            PhaseSchedule::PowerBoundary
+        };
+        let params = UnrollerParams::default()
+            .with_b(b)
+            .with_c(c)
+            .with_h(h)
+            .with_z(z)
+            .with_th(th)
+            .with_schedule(schedule);
+        let kind = [
+            HashKind::Identity,
+            HashKind::MultiplyShift,
+            HashKind::SplitMix,
+            HashKind::Tabulation,
+        ][kind];
+        Unroller::with_hashes(params, HashFamily::new(kind, h, 0x5eed)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn table_step_matches_the_reference_rule(
+            shape in (2u32..9, 1u32..5, 1u32..5),
+            hashing in (1u32..33, 1u32..5, any::<bool>()),
+            kind in 0usize..4,
+            (long, pre, cycle) in (0u32..4, 0usize..13, 0usize..13),
+            budget in 0u32..4,
+            seed in any::<u64>(),
+        ) {
+            let d = detector_for(shape, hashing, kind);
+            let mut rng = crate::test_rng(seed);
+            // One case in four is long enough (X up to 5000 hops) to run
+            // past the position table's 4096 entries into `position()`.
+            let (pre, cycle) = if long == 0 {
+                (pre * 200, 1 + cycle * 250)
+            } else {
+                (pre, cycle)
+            };
+            let walk = Walk::random(pre, cycle, &mut rng);
+            let max_hops = match budget {
+                0 => 0,
+                1 => 1,
+                2 => pre.saturating_sub(1) as u64,
+                _ => 1 << 16,
+            };
+            assert_matches_reference(&d, &walk, max_hops);
+        }
+    }
+
+    #[test]
+    fn table_step_matches_the_reference_past_the_table() {
+        // X > 4096: every report lands past the table, where the step
+        // falls back to `position()`. b = 2 with Th = 4 adds the most
+        // phase resets and re-acquisitions on the way.
+        // Hashed identifiers may still collide early (a false positive).
+        let mut rng = crate::test_rng(41);
+        let mut past_the_table = 0;
+        for cumulative in [false, true] {
+            for (c, h, z) in [(1u32, 1u32, 32u32), (4, 2, 24), (3, 1, 28)] {
+                let d = detector_for((2, c, h), (z, 4, cumulative), 2);
+                for (pre, cycle) in [(3000, 1200), (0, 4200), (4100, 1)] {
+                    let walk = Walk::random(pre, cycle, &mut rng);
+                    let out = assert_matches_reference(&d, &walk, 1 << 20);
+                    let hop = out.reported_at.expect("a loop is always reported");
+                    if hop > crate::phase::POSITION_TABLE_LEN as u64 {
+                        past_the_table += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            past_the_table >= 12,
+            "{past_the_table} of 18 reports past the table"
+        );
+    }
+
+    #[test]
+    fn table_step_matches_the_reference_on_edge_walks() {
+        // Loop-free walks, single-switch loops, loops from the first hop,
+        // and hop budgets shorter than the pre-loop path.
+        let mut rng = crate::test_rng(42);
+        let d = detector_for((4, 2, 2), (6, 2, false), 2);
+        for (pre, cycle) in [(0, 0), (5, 0), (0, 1), (7, 1), (0, 9), (9, 3)] {
+            let walk = Walk::random(pre, cycle, &mut rng);
+            for max_hops in [0, 1, pre.saturating_sub(1) as u64, 10_000] {
+                assert_matches_reference(&d, &walk, max_hops);
+            }
         }
     }
 }

@@ -158,6 +158,86 @@ impl PhaseSchedule {
     }
 }
 
+/// Hops a [`PositionTable`] covers directly (index 0 is unused).
+pub(crate) const POSITION_TABLE_LEN: usize = 4096;
+
+/// Marks a [`PositionTable`] entry whose hop starts its chunk.
+const CHUNK_START: u8 = 0x80;
+
+/// The per-hop answer the detector's update step needs — which chunk
+/// hop `xcnt` falls in, and whether it is that chunk's first hop —
+/// precomputed from [`PhaseSchedule::position`] for hops
+/// `1 .. POSITION_TABLE_LEN`. Hops past the table fall back to
+/// `position()`, so every hop count gets the same answer.
+///
+/// Each entry is one byte: the chunk index in the low 7 bits (a
+/// validated configuration has `c ≤ 64`), [`CHUNK_START`] on top.
+#[derive(Clone)]
+pub(crate) struct PositionTable {
+    entries: Box<[u8]>,
+    schedule: PhaseSchedule,
+    b: u32,
+    c: u32,
+}
+
+impl PositionTable {
+    /// Builds the table for `schedule` with base `b` and `c` chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b < 2` or `c` is not in `1 ..= 127`.
+    pub(crate) fn new(schedule: PhaseSchedule, b: u32, c: u32) -> Self {
+        assert!((1..=127).contains(&c), "chunk index must fit in 7 bits");
+        // Phase by phase, chunk by chunk: chunk `j` of a phase starting
+        // at `start` covers `start + ⌊len·j/c⌋ ..` up to the next chunk's
+        // start, exactly as `position()` assigns hops (an empty chunk
+        // covers nothing). One pass, no per-hop search.
+        let end = POSITION_TABLE_LEN as u64;
+        let mut entries = vec![0u8; POSITION_TABLE_LEN].into_boxed_slice();
+        let mut start = 1u64;
+        while start < end {
+            let len = schedule.position(start, b, 1).phase_len;
+            for j in 0..c as u64 {
+                let lo = start + len * j / c as u64;
+                let hi = (start + len * (j + 1) / c as u64).min(end);
+                for x in lo..hi {
+                    entries[x as usize] = j as u8 | if x == lo { CHUNK_START } else { 0 };
+                }
+            }
+            start += len;
+        }
+        PositionTable {
+            entries,
+            schedule,
+            b,
+            c,
+        }
+    }
+
+    /// `(chunk, chunk starts at this hop)` for 1-based hop `xcnt`.
+    #[inline]
+    pub(crate) fn at(&self, xcnt: u64) -> (usize, bool) {
+        match usize::try_from(xcnt).ok().and_then(|x| self.entries.get(x)) {
+            Some(&e) => ((e & !CHUNK_START) as usize, e & CHUNK_START != 0),
+            None => {
+                let pos = self.schedule.position(xcnt, self.b, self.c);
+                (pos.chunk as usize, pos.is_chunk_start(xcnt))
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for PositionTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PositionTable")
+            .field("schedule", &self.schedule)
+            .field("b", &self.b)
+            .field("c", &self.c)
+            .field("entries", &self.entries.len())
+            .finish()
+    }
+}
+
 /// Locates 0-based offset `off` within a phase of `len` hops split into
 /// `c` chunks with boundaries at `⌊len·j/c⌋`. Returns the chunk index and
 /// the chunk's starting offset.
@@ -381,6 +461,28 @@ mod tests {
         ] {
             let pos = schedule.position(u64::MAX / 2, 2, 4);
             assert!(pos.phase_len > 0);
+        }
+    }
+
+    #[test]
+    fn position_table_matches_position_past_its_end() {
+        for schedule in [
+            PhaseSchedule::PowerBoundary,
+            PhaseSchedule::CumulativeGeometric,
+        ] {
+            for (b, c) in [(2u32, 1u32), (4, 2), (3, 4), (2, 8), (6, 3), (4, 64)] {
+                let table = PositionTable::new(schedule, b, c);
+                let far = [u64::MAX / 2, u64::MAX - 1, 1 << 40];
+                let near = 1..POSITION_TABLE_LEN as u64 + 600;
+                for x in near.chain(far) {
+                    let pos = schedule.position(x, b, c);
+                    assert_eq!(
+                        table.at(x),
+                        (pos.chunk as usize, pos.is_chunk_start(x)),
+                        "schedule {schedule:?} b={b} c={c} x={x}"
+                    );
+                }
+            }
         }
     }
 }

@@ -13,9 +13,16 @@ use crate::SwitchId;
 use rand::Rng;
 use std::collections::HashSet;
 
+/// Walks up to this many identifiers (`B + L`) dedupe their draws with
+/// [`Walk::redraw`]'s stack filter; longer walks use a hash set.
+const FILTER_LIMIT: usize = 64;
+
+/// Width of [`Walk::redraw`]'s duplicate filter, in bits.
+const FILTER_BITS: usize = 1024;
+
 /// A synthetic packet trajectory: `B` pre-loop hops then an `L`-switch
 /// loop repeated indefinitely.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Walk {
     /// Switches on the path leading to the loop (length `B`).
     pub pre: Vec<SwitchId>,
@@ -37,9 +44,63 @@ impl Walk {
     /// 2³² values occurs with probability < 10⁻⁵ and would contaminate
     /// the false-positive accounting, so we exclude it outright.
     pub fn random<R: Rng + ?Sized>(b: usize, l: usize, rng: &mut R) -> Self {
-        let ids = distinct_ids(b + l, rng);
-        let (pre, cycle) = split_ids(ids, b);
-        Walk { pre, cycle }
+        let mut walk = Walk::new(Vec::with_capacity(b), Vec::with_capacity(l));
+        walk.redraw(b, l, rng);
+        walk
+    }
+
+    /// Replaces this walk with a fresh draw of `b` pre-loop hops and an
+    /// `l`-switch loop, reusing both allocations. Accepts exactly the
+    /// identifiers [`Walk::random`] would, in the same order, from the
+    /// same random stream: each draw is kept unless it equals an
+    /// identifier already on the walk.
+    ///
+    /// Up to 64 identifiers, duplicates are screened by a 1024-bit stack
+    /// filter on each identifier's low 10 bits; only a filter hit (a
+    /// duplicate, or one of ≤ 63 earlier identifiers sharing those bits)
+    /// pays for a scan of the walk. Longer walks use a hash set, where
+    /// the scan would be quadratic.
+    pub fn redraw<R: Rng + ?Sized>(&mut self, b: usize, l: usize, rng: &mut R) {
+        if b + l > FILTER_LIMIT {
+            let mut seen = HashSet::with_capacity(b + l);
+            self.fill(b, l, rng, |id, _| seen.insert(id));
+            return;
+        }
+        let mut filter = [0u64; FILTER_BITS / 64];
+        self.fill(b, l, rng, |id, walk| {
+            let bit = id as usize % FILTER_BITS;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            let hit = filter[word] & mask != 0;
+            filter[word] |= mask;
+            !hit || !(walk.pre.contains(&id) || walk.cycle.contains(&id))
+        });
+    }
+
+    /// Clears the walk and draws `b` then `l` identifiers, keeping each
+    /// draw for which `fresh(id, walk so far)` holds.
+    fn fill<R: Rng + ?Sized>(
+        &mut self,
+        b: usize,
+        l: usize,
+        rng: &mut R,
+        mut fresh: impl FnMut(SwitchId, &Walk) -> bool,
+    ) {
+        self.pre.clear();
+        self.cycle.clear();
+        let mut draw = |walk: &Walk| loop {
+            let id: SwitchId = rng.gen();
+            if fresh(id, walk) {
+                break id;
+            }
+        };
+        for _ in 0..b {
+            let id = draw(self);
+            self.pre.push(id);
+        }
+        for _ in 0..l {
+            let id = draw(self);
+            self.cycle.push(id);
+        }
     }
 
     /// Draws a loop-free path of `len` hops (the Figure 6 workload:
@@ -64,7 +125,8 @@ impl Walk {
         rng: &mut R,
     ) -> Self {
         assert!((1..=b + l).contains(&min_pos), "min_pos out of range");
-        let mut ids = distinct_ids(b + l, rng);
+        let walk = Self::random(b, l, rng);
+        let mut ids = [walk.pre, walk.cycle].concat();
         let min_idx = ids
             .iter()
             .enumerate()
@@ -72,8 +134,8 @@ impl Walk {
             .map(|(i, _)| i)
             .expect("b + l >= 1");
         ids.swap(min_idx, min_pos - 1);
-        let (pre, cycle) = split_ids(ids, b);
-        Walk { pre, cycle }
+        let cycle = ids.split_off(b);
+        Walk::new(ids, cycle)
     }
 
     /// Number of hops before the loop (`B`).
@@ -112,6 +174,14 @@ impl Walk {
         Some(self.cycle[((hop - b - 1) % l) as usize])
     }
 
+    /// The switches visited at hops 1, 2, …: `pre`, then `cycle` repeated
+    /// forever (ending after `pre` on a loop-free walk). A cursor over
+    /// the two slices: no division per hop, unlike
+    /// [`Walk::switch_at`].
+    pub fn hops(&self) -> impl Iterator<Item = SwitchId> + '_ {
+        self.pre.iter().chain(self.cycle.iter().cycle()).copied()
+    }
+
     /// True if the switch visited at hop `hop` was already visited at an
     /// earlier hop (exact check, independent of identifier values).
     pub fn is_revisit(&self, hop: u64) -> bool {
@@ -124,23 +194,6 @@ impl Walk {
         // the pre/cycle structure, which this check captures.
         l > 0 && hop > b + l
     }
-}
-
-fn distinct_ids<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<SwitchId> {
-    let mut seen = HashSet::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
-    while ids.len() < n {
-        let id: u32 = rng.gen();
-        if seen.insert(id) {
-            ids.push(id);
-        }
-    }
-    ids
-}
-
-fn split_ids(mut ids: Vec<SwitchId>, b: usize) -> (Vec<SwitchId>, Vec<SwitchId>) {
-    let cycle = ids.split_off(b);
-    (ids, cycle)
 }
 
 /// The result of running a detector along a walk.
@@ -192,14 +245,8 @@ pub fn run_detector_with<D: InPacketDetector>(
     state: &mut D::State,
 ) -> DetectionOutcome {
     detector.reset_state(state);
-    for hop in 1..=max_hops {
-        let Some(switch) = walk.switch_at(hop) else {
-            // Loop-free walk ended without a report.
-            return DetectionOutcome {
-                reported_at: None,
-                true_positive: false,
-            };
-        };
+    // The walk runs out first only on a loop-free path.
+    for (hop, switch) in (1..=max_hops).zip(walk.hops()) {
         if detector.on_switch(state, switch).reported() {
             return DetectionOutcome {
                 reported_at: Some(hop),
@@ -338,6 +385,112 @@ mod tests {
             let a = run_detector(&d, &w, 10_000);
             let b = run_detector_with(&d, &w, 10_000, &mut st);
             assert_eq!(a, b);
+        }
+    }
+
+    /// Replays a fixed script of 64-bit words and counts the draws.
+    /// `gen::<u32>()` keeps a word's low 32 bits, so words that differ
+    /// only above bit 31 draw the same identifier.
+    struct Script {
+        words: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl rand::RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let word = self.words[self.drawn];
+            self.drawn += 1;
+            word
+        }
+    }
+
+    /// The draw loop `Walk::random` used before `redraw`: every
+    /// identifier seen goes into a SipHash set.
+    fn hashset_walk<R: Rng + ?Sized>(b: usize, l: usize, rng: &mut R) -> Walk {
+        let mut seen = HashSet::new();
+        let mut ids = Vec::new();
+        while ids.len() < b + l {
+            let id: u32 = rng.gen();
+            if seen.insert(id) {
+                ids.push(id);
+            }
+        }
+        let cycle = ids.split_off(b);
+        Walk::new(ids, cycle)
+    }
+
+    /// A script of fresh identifiers, each followed by an exact
+    /// duplicate (with different high bits) and by distinct identifiers
+    /// that share its low 10 bits — the filter's false hits.
+    fn script() -> Vec<u64> {
+        let mut words = Vec::new();
+        for i in 0..400u64 {
+            let id = (i.wrapping_mul(0x9e37_79b9) >> 3) as u32;
+            words.push(u64::from(id) | 0xabcd << 40);
+            words.push(u64::from(id));
+            words.push(u64::from(id ^ ((i as u32 % 7 + 1) << 10)));
+            if i % 3 == 0 {
+                words.push(u64::from(id ^ 0x8000_0000));
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn redraw_takes_the_hashset_walk_from_the_same_draws() {
+        for (b, l) in [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (3, 4),
+            (5, 20),
+            (40, 24),
+            (40, 25),
+            (60, 90),
+        ] {
+            let mut reference = Script {
+                words: script(),
+                drawn: 0,
+            };
+            let want = hashset_walk(b, l, &mut reference);
+
+            let mut rng = Script {
+                words: script(),
+                drawn: 0,
+            };
+            assert_eq!(Walk::random(b, l, &mut rng), want, "random B={b} L={l}");
+            assert_eq!(rng.drawn, reference.drawn, "random draws B={b} L={l}");
+
+            // Redraw into a walk that holds stale identifiers, some of
+            // them equal to ones the script will offer.
+            let mut walk = Walk::new(
+                vec![7; 70],
+                script()[..9].iter().map(|&w| w as u32).collect(),
+            );
+            let mut rng = Script {
+                words: script(),
+                drawn: 0,
+            };
+            walk.redraw(b, l, &mut rng);
+            assert_eq!(walk, want, "redraw B={b} L={l}");
+            assert_eq!(rng.drawn, reference.drawn, "redraw draws B={b} L={l}");
+        }
+    }
+
+    #[test]
+    fn hops_cycles_like_switch_at() {
+        for w in [
+            Walk::new(vec![1, 2], vec![10, 11, 12]),
+            Walk::new(vec![], vec![4]),
+            Walk::new(vec![1, 2, 3], vec![]),
+            Walk::default(),
+        ] {
+            let by_index: Vec<_> = (1..=20).map_while(|h| w.switch_at(h)).collect();
+            let by_cursor: Vec<_> = w.hops().take(20).collect();
+            assert_eq!(by_cursor, by_index, "{w:?}");
         }
     }
 }

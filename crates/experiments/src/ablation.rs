@@ -3,12 +3,14 @@
 //! threshold trade-off, and the hash families.
 
 use crate::report::Series;
-use crate::runner::parallel_fold;
+use crate::runner::{parallel_fold, TrialBlock};
 use crate::sweeps::SweepConfig;
 use unroller_baselines::{NoResetMin, ProbabilisticInsert};
 use unroller_core::hashing::{HashFamily, HashKind};
-use unroller_core::walk::{run_detector, run_detector_with};
-use unroller_core::{InPacketDetector, PhaseSchedule, Unroller, UnrollerParams, Walk};
+use unroller_core::walk::run_detector;
+use unroller_core::{
+    InPacketDetector, PhaseSchedule, Unroller, UnrollerParams, UnrollerState, Walk,
+};
 
 /// False-negative rate of a detector on `(B, L)` walks: the fraction of
 /// runs in which the loop is never reported within `max_hops`.
@@ -17,33 +19,22 @@ where
     D: InPacketDetector + Sync,
     D::State: Send,
 {
-    #[derive(Default)]
-    struct Acc {
-        runs: u64,
-        missed: u64,
-    }
     // A working detector reports within a small multiple of X (Theorem 1
     // gives < 5X for b = 4); anything still silent far past that is a
     // false negative, so a tight cap keeps the FN sweep cheap even for
     // variants that loop forever.
     let cap = cfg.max_hops.min(1_000 + 100 * (b_hops as u64 + l as u64));
-    let acc: Acc = parallel_fold(
+    let block: TrialBlock<D::State> = parallel_fold(
         cfg.runs,
         cfg.seed ^ 0xab1a,
         cfg.threads,
-        |_, rng, acc: &mut Acc| {
-            let walk = Walk::random(b_hops, l, rng);
-            acc.runs += 1;
-            if run_detector(detector, &walk, cap).reported_at.is_none() {
-                acc.missed += 1;
-            }
+        |_, rng, block: &mut TrialBlock<D::State>| {
+            block.run(detector, b_hops, l, cap, rng);
         },
-        |a, b| Acc {
-            runs: a.runs + b.runs,
-            missed: a.missed + b.missed,
-        },
+        TrialBlock::merge,
     );
-    acc.missed as f64 / acc.runs.max(1) as f64
+    let stats = block.stats;
+    (stats.runs - stats.detected) as f64 / stats.runs.max(1) as f64
 }
 
 /// §3.5 ablation rows: false-negative rates of the no-reset variants vs
@@ -122,32 +113,16 @@ pub fn hash_family_fp(z: u32, path_len: usize, cfg: &SweepConfig) -> Vec<(String
         let params = UnrollerParams::default().with_z(z);
         let det = Unroller::with_hashes(params, HashFamily::new(kind, 1, cfg.seed ^ 0xf00))
             .expect("valid");
-        #[derive(Default)]
-        struct Acc {
-            runs: u64,
-            fps: u64,
-            state: Option<unroller_core::UnrollerState>,
-        }
-        let acc: Acc = parallel_fold(
+        let block: TrialBlock<UnrollerState> = parallel_fold(
             cfg.runs,
             cfg.seed ^ (kind as u64),
             cfg.threads,
-            |_, rng, acc: &mut Acc| {
-                let walk = Walk::random_loop_free(path_len, rng);
-                let state = acc.state.get_or_insert_with(|| det.init_state());
-                let out = run_detector_with(&det, &walk, path_len as u64 + 1, state);
-                acc.runs += 1;
-                if out.false_positive() {
-                    acc.fps += 1;
-                }
+            |_, rng, block: &mut TrialBlock<UnrollerState>| {
+                block.run(&det, path_len, 0, path_len as u64 + 1, rng);
             },
-            |a, b| Acc {
-                runs: a.runs + b.runs,
-                fps: a.fps + b.fps,
-                state: None,
-            },
+            TrialBlock::merge,
         );
-        (format!("{kind:?}"), acc.fps as f64 / acc.runs.max(1) as f64)
+        (format!("{kind:?}"), block.stats.fp_rate())
     })
     .collect()
 }

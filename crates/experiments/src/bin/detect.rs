@@ -7,6 +7,7 @@
 //!     --params b=4,z=7,th=4 --b-hops 5 --l 20 --runs 100000
 //! ```
 
+use std::str::FromStr;
 use unroller_core::UnrollerParams;
 use unroller_experiments::false_positives::false_positive_rate;
 use unroller_experiments::sweeps::{detection_stats, SweepConfig};
@@ -21,25 +22,19 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("detect: {name} requires an argument");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--params" => {
-                let text = value("--params");
+                let text = value("--params", args.next());
                 params = text.parse().unwrap_or_else(|e| {
                     eprintln!("detect: bad --params `{text}`: {e}");
                     std::process::exit(2);
                 });
             }
-            "--b-hops" => b_hops = value("--b-hops").parse().expect("numeric --b-hops"),
-            "--l" => l = value("--l").parse().expect("numeric --l"),
-            "--runs" => runs = value("--runs").parse().expect("numeric --runs"),
-            "--seed" => seed = value("--seed").parse().expect("numeric --seed"),
-            "--threads" => threads = value("--threads").parse().expect("numeric --threads"),
+            "--b-hops" => b_hops = numeric("--b-hops", args.next()),
+            "--l" => l = numeric("--l", args.next()),
+            "--runs" => runs = numeric("--runs", args.next()),
+            "--seed" => seed = numeric("--seed", args.next()),
+            "--threads" => threads = numeric("--threads", args.next()),
             "--help" | "-h" => {
                 println!(
                     "usage: detect [--params b=4,z=32,c=1,h=1,th=1[,schedule=power|cumulative][,xcnt=header|ttl]]\n\
@@ -57,11 +52,18 @@ fn main() {
         }
     }
 
+    // A walk longer than the hop cap could never be detected within it;
+    // the bound also caps each trial's walk allocation.
+    let max_hops = 1u64 << 22;
+    if b_hops.checked_add(l).is_none_or(|x| x as u64 > max_hops) {
+        eprintln!("detect: --b-hops + --l must be at most {max_hops}");
+        std::process::exit(2);
+    }
     let cfg = SweepConfig {
         runs,
         seed,
         threads,
-        max_hops: 1 << 22,
+        max_hops,
     };
     println!("configuration: {params}");
     println!("per-packet overhead: {} bits", params.overhead_bits());
@@ -94,4 +96,21 @@ fn main() {
             ""
         },
     );
+}
+
+/// The value after flag `name`; usage error (exit 2) when it is missing.
+fn value(name: &str, arg: Option<String>) -> String {
+    arg.unwrap_or_else(|| {
+        eprintln!("detect: {name} requires an argument");
+        std::process::exit(2);
+    })
+}
+
+/// The numeric value after flag `name`; usage error (exit 2) when it is
+/// missing or does not parse, as in the shared `Cli` parser.
+fn numeric<T: FromStr>(name: &str, arg: Option<String>) -> T {
+    arg.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("detect: {name} requires a numeric argument");
+        std::process::exit(2);
+    })
 }

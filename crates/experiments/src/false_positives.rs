@@ -6,26 +6,29 @@
 //! varies `z` for thresholds `Th ∈ {1, 2, 4}`.
 
 use crate::report::Series;
-use crate::runner::{parallel_fold, TrialAccumulator};
+use crate::runner::{parallel_fold, TrialAccumulator, TrialBlock};
 use crate::sweeps::SweepConfig;
-use unroller_core::walk::run_detector_with;
-use unroller_core::{InPacketDetector, Unroller, UnrollerParams, UnrollerState, Walk};
+use unroller_core::{Unroller, UnrollerParams, UnrollerState};
 
 /// The Figure 6 path length ("a path length of 20 hops, with B = 20 and
 /// L = 0").
 pub const FP_PATH_LEN: usize = 20;
 
-#[derive(Default)]
-struct Acc {
-    stats: TrialAccumulator,
-    state: Option<UnrollerState>,
-}
-
 /// The false-positive probability of a configuration on a loop-free
 /// `path_len`-hop path.
 pub fn false_positive_rate(params: UnrollerParams, path_len: usize, cfg: &SweepConfig) -> f64 {
+    false_positive_stats(params, path_len, cfg).fp_rate()
+}
+
+/// The trial statistics behind [`false_positive_rate`]: every report on
+/// the loop-free path counts as a false positive.
+pub fn false_positive_stats(
+    params: UnrollerParams,
+    path_len: usize,
+    cfg: &SweepConfig,
+) -> TrialAccumulator {
     let det = Unroller::from_params(params).expect("valid parameters");
-    let acc: Acc = parallel_fold(
+    let block: TrialBlock<UnrollerState> = parallel_fold(
         cfg.runs,
         cfg.seed
             ^ 0xfa15e
@@ -34,18 +37,12 @@ pub fn false_positive_rate(params: UnrollerParams, path_len: usize, cfg: &SweepC
             ^ ((params.c as u64) << 52)
             ^ ((params.h as u64) << 56),
         cfg.threads,
-        |_, rng, acc: &mut Acc| {
-            let walk = Walk::random_loop_free(path_len, rng);
-            let state = acc.state.get_or_insert_with(|| det.init_state());
-            let out = run_detector_with(&det, &walk, path_len as u64 + 1, state);
-            acc.stats.record(out, walk.x());
+        |_, rng, block: &mut TrialBlock<UnrollerState>| {
+            block.run(&det, path_len, 0, path_len as u64 + 1, rng);
         },
-        |a, b| Acc {
-            stats: a.stats.merge(b.stats),
-            state: None,
-        },
+        TrialBlock::merge,
     );
-    acc.stats.fp_rate()
+    block.stats
 }
 
 /// The z values Figure 6 sweeps.

@@ -11,6 +11,9 @@
 //! floating-point sums included.
 
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use unroller_core::walk::run_detector_with;
+use unroller_core::{DetectionOutcome, InPacketDetector, Walk};
 
 /// Trials per RNG block. Every block of this many consecutive trial
 /// indices draws from its own `(seed, block)`-derived stream, making
@@ -74,32 +77,89 @@ where
     if threads == 1 || blocks <= 1 {
         return (0..blocks).map(run_block).fold(A::default(), &merge);
     }
-    // Contiguous block ranges per thread; results are reassembled in
-    // ascending block order before merging, so the merge sequence (and
-    // with it every float sum) matches the sequential path exactly.
-    let per = blocks / threads as u64;
-    let rem = blocks % threads as u64;
-    let mut ranges: Vec<(u64, Vec<A>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|shard| {
-                let run_block = &run_block;
-                s.spawn(move || {
-                    let lo = shard * per + shard.min(rem);
-                    let count = per + u64::from(shard < rem);
-                    (lo, (lo..lo + count).map(run_block).collect::<Vec<A>>())
+    // Threads pull the next unclaimed block until none are left, so a
+    // thread that stalls holds up one block, not a fixed share of them.
+    // The counter publishes no data (`Relaxed`); block results travel
+    // back through `join` and are reassembled in ascending block order
+    // before merging, so the merge sequence (and with it every float
+    // sum) matches the sequential path exactly.
+    let next = AtomicU64::new(0);
+    let workers = threads.min(blocks as usize);
+    let mut done: Vec<(u64, A)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let block = next.fetch_add(1, Ordering::Relaxed);
+                        if block >= blocks {
+                            break done;
+                        }
+                        done.push((block, run_block(block)));
+                    }
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("no worker panicked"))
+            .flat_map(|h| h.join().expect("no worker panicked"))
             .collect()
     });
-    ranges.sort_by_key(|(lo, _)| *lo);
-    ranges
-        .into_iter()
-        .flat_map(|(_, accs)| accs)
+    done.sort_unstable_by_key(|&(block, _)| block);
+    done.into_iter()
+        .map(|(_, acc)| acc)
         .fold(A::default(), merge)
+}
+
+/// A block's accumulator for detector trials: the statistics, plus one
+/// walk (redrawn in place for every trial) and one detector state (reset
+/// for every trial), so a trial loop allocates nothing after its block's
+/// first trial.
+pub(crate) struct TrialBlock<S> {
+    pub(crate) stats: TrialAccumulator,
+    walk: Walk,
+    state: Option<S>,
+}
+
+impl<S> Default for TrialBlock<S> {
+    fn default() -> Self {
+        TrialBlock {
+            stats: TrialAccumulator::default(),
+            walk: Walk::default(),
+            state: None,
+        }
+    }
+}
+
+impl<S> TrialBlock<S> {
+    /// Draws a fresh `(b, l)` walk from `rng`, runs `detector` along it
+    /// for at most `max_hops` hops, and records the outcome.
+    pub(crate) fn run<D, R>(
+        &mut self,
+        detector: &D,
+        b: usize,
+        l: usize,
+        max_hops: u64,
+        rng: &mut R,
+    ) -> DetectionOutcome
+    where
+        D: InPacketDetector<State = S>,
+        R: rand::Rng + ?Sized,
+    {
+        self.walk.redraw(b, l, rng);
+        let state = self.state.get_or_insert_with(|| detector.init_state());
+        let out = run_detector_with(detector, &self.walk, max_hops, state);
+        self.stats.record(out, self.walk.x());
+        out
+    }
+
+    /// Merges the statistics; the reusable walk and state are dropped.
+    pub(crate) fn merge(self, other: Self) -> Self {
+        TrialBlock {
+            stats: self.stats.merge(other.stats),
+            ..TrialBlock::default()
+        }
+    }
 }
 
 /// The standard accumulator for detection-time and false-positive
@@ -148,7 +208,7 @@ impl TrialAccumulator {
     }
 
     /// Records one detection outcome.
-    pub fn record(&mut self, outcome: unroller_core::DetectionOutcome, x: usize) {
+    pub fn record(&mut self, outcome: DetectionOutcome, x: usize) {
         self.runs += 1;
         if let Some(hops) = outcome.reported_at {
             self.detected += 1;
@@ -213,7 +273,6 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         use rand::Rng;
-        use unroller_core::DetectionOutcome;
         // RNG-driven outcomes with an f64 running sum: any divergence in
         // stream assignment *or* merge order between thread counts shows
         // up as a bit-level mismatch.
@@ -239,7 +298,6 @@ mod tests {
 
     #[test]
     fn accumulator_math() {
-        use unroller_core::DetectionOutcome;
         let mut a = TrialAccumulator::default();
         a.record(
             DetectionOutcome {

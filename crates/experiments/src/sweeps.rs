@@ -7,9 +7,8 @@
 //! `c = H = Th = 1`, `B = 5`, `L = 20` unless the figure varies them.
 
 use crate::report::Series;
-use crate::runner::{parallel_fold, TrialAccumulator};
-use unroller_core::walk::run_detector_with;
-use unroller_core::{InPacketDetector, Unroller, UnrollerParams, UnrollerState, Walk};
+use crate::runner::{parallel_fold, TrialAccumulator, TrialBlock};
+use unroller_core::{Unroller, UnrollerParams, UnrollerState};
 
 /// Shared sweep settings.
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +34,6 @@ impl Default for SweepConfig {
     }
 }
 
-/// Accumulator bundling the statistics with a reusable detector state,
-/// so the hot loop performs no per-trial allocation.
-#[derive(Default)]
-struct Acc {
-    stats: TrialAccumulator,
-    state: Option<UnrollerState>,
-}
-
 /// Measures detection statistics for one `(params, B, L)` point.
 pub fn detection_stats(
     params: UnrollerParams,
@@ -51,22 +42,16 @@ pub fn detection_stats(
     cfg: &SweepConfig,
 ) -> TrialAccumulator {
     let det = Unroller::from_params(params).expect("valid sweep parameters");
-    let acc: Acc = parallel_fold(
+    let block: TrialBlock<UnrollerState> = parallel_fold(
         cfg.runs,
         cfg.seed ^ ((b_hops as u64) << 32) ^ l as u64 ^ params_fingerprint(&params),
         cfg.threads,
-        |_, rng, acc: &mut Acc| {
-            let walk = Walk::random(b_hops, l, rng);
-            let state = acc.state.get_or_insert_with(|| det.init_state());
-            let out = run_detector_with(&det, &walk, cfg.max_hops, state);
-            acc.stats.record(out, walk.x());
+        |_, rng, block: &mut TrialBlock<UnrollerState>| {
+            block.run(&det, b_hops, l, cfg.max_hops, rng);
         },
-        |a, b| Acc {
-            stats: a.stats.merge(b.stats),
-            state: None,
-        },
+        TrialBlock::merge,
     );
-    acc.stats
+    block.stats
 }
 
 /// Mean `hops / X` for one point (the y axis of Figures 2–5 and 7).
@@ -248,5 +233,73 @@ mod tests {
         let stats = detection_stats(UnrollerParams::default(), 5, 20, &quick());
         assert_eq!(stats.runs, stats.detected, "z = 32 never misses a loop");
         assert_eq!(stats.false_positives, 0);
+    }
+
+    /// The statistics of five fixed points, pinned bit for bit:
+    /// `(runs, detected, false_positives, sum_hops, sum_ratio bits)`.
+    /// The values were recorded from the detector's per-hop rule before
+    /// any optimisation of the trial path (walk draws, the update step,
+    /// block scheduling); a faster kernel must reproduce them exactly,
+    /// at any thread count. Do not re-record them to make a change pass.
+    #[test]
+    fn pinned_statistics_are_bit_identical() {
+        use unroller_core::PhaseSchedule;
+        type Pinned = (u64, u64, u64, u64, u64);
+        let pin = |a: TrialAccumulator| -> Pinned {
+            (
+                a.runs,
+                a.detected,
+                a.false_positives,
+                a.sum_hops,
+                a.sum_ratio.to_bits(),
+            )
+        };
+        let default = UnrollerParams::default();
+        let points: [(&str, UnrollerParams, Pinned); 4] = [
+            (
+                "default",
+                default,
+                (5000, 5000, 0, 227889, 4666236946435308262),
+            ),
+            (
+                "z=7,th=4",
+                default.with_z(7).with_th(4),
+                (5000, 5000, 1, 571366, 4672011449562992472),
+            ),
+            (
+                "c=3,h=2",
+                default.with_c(3).with_h(2),
+                (5000, 5000, 0, 144477, 4663076180358940597),
+            ),
+            (
+                "b=2,schedule=cumulative",
+                default
+                    .with_b(2)
+                    .with_schedule(PhaseSchedule::CumulativeGeometric),
+                (5000, 5000, 0, 342439, 4668755927574543068),
+            ),
+        ];
+        for threads in [1, 2] {
+            let cfg = SweepConfig {
+                runs: 5_000,
+                seed: 11,
+                threads,
+                max_hops: 1_000_000,
+            };
+            for (name, params, want) in points {
+                let got = pin(detection_stats(params, 5, 20, &cfg));
+                assert_eq!(got, want, "{name} (B=5, L=20), threads={threads}");
+            }
+            let fp = crate::false_positives::false_positive_stats(
+                default.with_z(4),
+                crate::false_positives::FP_PATH_LEN,
+                &cfg,
+            );
+            assert_eq!(
+                pin(fp),
+                (5000, 3586, 3586, 32280, 4654813262515273723),
+                "false positives at z=4, threads={threads}"
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! * Scenario geometry and identifier randomness separate cleanly: given
 //!   a sampled `(B, L)` pair, the packet's walk with fresh random IDs is
-//!   distributed exactly like [`Walk::random`]`(B, L)` (pre-loop and
+//!   distributed exactly like
+//!   [`Walk::random`](unroller_core::Walk::random)`(B, L)` (pre-loop and
 //!   cycle nodes are disjoint and off-walk nodes are never observed). We
 //!   therefore pre-sample a pool of `(B, L)` pairs per topology and draw
 //!   fresh identifiers every run, matching the paper's 3M-run protocol
@@ -19,13 +20,12 @@
 //!   runs expose rarer collisions); `EXPERIMENTS.md` reports both the
 //!   default and `--paper` settings.
 
-use crate::runner::parallel_fold;
+use crate::runner::{parallel_fold, TrialBlock};
 use crate::sweeps::{detection_stats, SweepConfig};
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use unroller_baselines::BloomFilterDetector;
-use unroller_core::walk::run_detector_with;
-use unroller_core::{InPacketDetector, Unroller, UnrollerParams, Walk};
+use unroller_core::{InPacketDetector, Unroller, UnrollerParams};
 use unroller_topology::loops::sample_scenario;
 use unroller_topology::zoo::{table5_topologies, Topology};
 
@@ -107,27 +107,16 @@ where
     D::State: Send,
 {
     let found = AtomicBool::new(false);
-    struct Acc<S> {
-        state: Option<S>,
-    }
-    impl<S> Default for Acc<S> {
-        fn default() -> Self {
-            Acc { state: None }
-        }
-    }
-    let _: Acc<D::State> = parallel_fold(
+    let _: TrialBlock<D::State> = parallel_fold(
         runs,
         seed,
         threads,
-        |t, rng, acc: &mut Acc<D::State>| {
+        |t, rng, block: &mut TrialBlock<D::State>| {
             if found.load(Ordering::Relaxed) {
                 return;
             }
             let (b, l) = pool[(t % pool.len() as u64) as usize];
-            let walk = Walk::random(b, l, rng);
-            let state = acc.state.get_or_insert_with(|| detector.init_state());
-            let out = run_detector_with(detector, &walk, 1 << 22, state);
-            if out.false_positive() {
+            if block.run(detector, b, l, 1 << 22, rng).false_positive() {
                 found.store(true, Ordering::Relaxed);
             }
         },

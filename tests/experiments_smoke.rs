@@ -155,3 +155,31 @@ fn bounds_constants_are_papers() {
     assert!((bounds::chunked_constant(7, 2) - 4.3333).abs() < 1e-3);
     assert!((bounds::LOWER_BOUND_CONSTANT - 3.7321).abs() < 1e-3);
 }
+
+#[test]
+fn detect_rejects_bad_numbers_without_panicking() {
+    // Outside input never panics: a malformed or out-of-range number is
+    // a usage error (exit 2 with a message), as in every other
+    // experiment binary.
+    for (args, message) in [
+        (
+            ["--runs", "abc"],
+            "detect: --runs requires a numeric argument",
+        ),
+        (
+            ["--b-hops", "18446744073709551615"],
+            "detect: --b-hops + --l must be at most 4194304",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO"))
+            .args(["run", "--quiet", "--offline", "-p", "unroller-experiments"])
+            .args(["--bin", "detect", "--"])
+            .args(args)
+            .output()
+            .expect("cargo runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
